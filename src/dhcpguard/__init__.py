@@ -17,7 +17,6 @@ from .anomaly import (
     Outcome,
     SignVerdict,
     classify,
-    detect_anomaly,
     sign_of_attack,
     window_classification,
 )

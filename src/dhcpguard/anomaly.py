@@ -1,11 +1,13 @@
 """Unknown-threat detection: adaptive baselines over traffic metrics.
 
-Traffic is summarized per tumbling window into three metrics (event
-rate, mean payload size, distinct source count).  Each metric keeps an
-exponentially weighted mean and variance; a window is anomalous when a
-warmed-up metric exceeds ``mean + k * stddev``.  Windows judged
+Traffic is summarized into three metrics (event rate, mean payload
+size, distinct source count), defined once in :func:`traffic_metrics`.
+Baselines learn from tumbling windows: each metric keeps an
+exponentially weighted mean and variance, and a window is anomalous
+when a warmed-up metric exceeds ``mean + k * stddev``.  Windows judged
 anomalous do not update the baseline, so a sustained attack cannot
-drag the threshold up after itself.
+drag the threshold up after itself.  Per-event checks compare the same
+metrics over a :class:`TrailingWindow` with those baselines.
 
 Only generic (non-DHCP) traffic feeds these metrics: DHCP control
 chatter is sparse and bursty by nature and is the business of the
@@ -24,6 +26,7 @@ attack, below 1 means attack.
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,11 +37,6 @@ from .netsim import AttackClass, GenericPayload, SimEvent
 
 class ColdStart(Exception):
     """Raised when no metric has seen enough samples to judge."""
-
-
-class Verdict(str, Enum):
-    RAISED = "raised"
-    SILENT = "silent"
 
 
 class Outcome(str, Enum):
@@ -137,10 +135,6 @@ class Baseline:
         ]
 
 
-def detect_anomaly(baseline: Baseline, samples: dict[str, float]) -> Verdict:
-    return Verdict.RAISED if baseline.exceeded(samples) else Verdict.SILENT
-
-
 def classify(alarm_raised: bool, truth_is_attack: bool) -> Outcome:
     if alarm_raised:
         return Outcome.TP if truth_is_attack else Outcome.FP
@@ -194,13 +188,39 @@ MEAN_SIZE = "mean_payload_size"
 DISTINCT_SOURCES = "distinct_sources"
 
 
-@dataclass
-class WindowRecord:
-    end_time: float
-    metrics: dict[str, float]
-    raised: Optional[bool]        # None while the baseline is still cold
-    truth_is_attack: bool
-    outcome: Optional[Outcome]
+def traffic_metrics(count: int, size_sum: int, sources: int, window: float) -> dict[str, float]:
+    """The anomaly metrics of ``count`` generic events seen in ``window`` seconds.
+
+    ``sources`` is the number of distinct sources among them; the mean
+    payload size is left out when there are no events.
+    """
+    metrics = {RATE: count / window, DISTINCT_SOURCES: float(sources)}
+    if count:
+        metrics[MEAN_SIZE] = size_sum / count
+    return metrics
+
+
+class TrailingWindow:
+    """Per-event metrics over the generic events of the last ``window`` seconds."""
+
+    def __init__(self):
+        self._events: deque[tuple[float, int, int]] = deque()
+        self._size_sum = 0
+        self._sources: Counter = Counter()
+
+    def add(self, time: float, size: int, src: int, window: float) -> dict[str, float]:
+        """Add one event, drop those at or before ``time - window``, return the metrics."""
+        self._events.append((time, size, src))
+        self._size_sum += size
+        self._sources[src] += 1
+        cutoff = time - window
+        while self._events and self._events[0][0] <= cutoff:
+            _, old_size, old_src = self._events.popleft()
+            self._size_sum -= old_size
+            self._sources[old_src] -= 1
+            if self._sources[old_src] <= 0:
+                del self._sources[old_src]
+        return traffic_metrics(len(self._events), self._size_sum, len(self._sources), window)
 
 
 class WindowTracker:
@@ -215,7 +235,6 @@ class WindowTracker:
         self.config = config
         self.baseline = Baseline(config)
         self.counters = ConfusionCounters()
-        self.records: list[WindowRecord] = []
         self.st_series: list[tuple[float, float]] = []
         self._index: Optional[int] = None
         self._count = 0
@@ -223,52 +242,32 @@ class WindowTracker:
         self._sources: set[int] = set()
         self._attack = False
 
-    def _close_through(self, index: int) -> None:
-        while self._index is not None and self._index < index:
-            self._emit()
-            self._index += 1
-
     def _emit(self) -> None:
-        cfg = self.config
-        metrics = {
-            RATE: self._count / cfg.window,
-            DISTINCT_SOURCES: float(len(self._sources)),
-        }
-        if self._count:
-            metrics[MEAN_SIZE] = self._size_sum / self._count
+        metrics = traffic_metrics(self._count, self._size_sum, len(self._sources),
+                                  self.config.window)
         try:
             raised: Optional[bool] = bool(self.baseline.exceeded(metrics))
         except ColdStart:
             raised = None
-        outcome: Optional[Outcome] = None
         if raised is not None:
-            outcome = classify(raised, self._attack)
-            self.counters.add(outcome)
-            end = (self._index + 1) * cfg.window
+            self.counters.add(classify(raised, self._attack))
+            end = (self._index + 1) * self.config.window
             self.st_series.append((end, sign_of_attack(self.counters.tn, self.counters.fn).ratio))
         if not raised:  # silent or cold: safe to learn from this window
             self.baseline.update(metrics)
-        self.records.append(WindowRecord(
-            end_time=(self._index + 1) * cfg.window,
-            metrics=metrics,
-            raised=raised,
-            truth_is_attack=self._attack,
-            outcome=outcome,
-        ))
         self._count = 0
         self._size_sum = 0
         self._sources = set()
         self._attack = False
 
-    def advance(self, time: float) -> None:
-        if self._index is not None:
-            self._close_through(int(time // self.config.window))
-
     def add_event(self, event: SimEvent) -> None:
-        self.advance(event.time)
+        index = int(event.time // self.config.window)
+        if self._index is not None:
+            while self._index < index:
+                self._emit()
+                self._index += 1
         if not isinstance(event.payload, GenericPayload):
             return
-        index = int(event.time // self.config.window)
         if self._index is None:
             self._index = index
         self._count += 1
@@ -276,9 +275,6 @@ class WindowTracker:
         self._sources.add(event.src)
         if event.ground_truth is not AttackClass.NONE:
             self._attack = True
-
-    def overall_sign(self) -> SignOfAttack:
-        return sign_of_attack(self.counters.tn, self.counters.fn)
 
 
 def window_classification(events: Iterable[SimEvent], config: AnomalyConfig) -> WindowTracker:

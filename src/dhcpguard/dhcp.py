@@ -51,23 +51,32 @@ class MsgType(IntEnum):
 
 
 class DhcpCodecError(ValueError):
-    """Base class for wire-level decode failures."""
+    """Base class for wire-level decode failures.
+
+    ``reason`` is the short name a trace records for the failure.
+    """
+
+    reason = "undecodable"
 
 
 class BadLength(DhcpCodecError):
-    pass
+    reason = "bad_length"
 
 
 class BadChecksum(DhcpCodecError):
     """Checksum mismatch; the message was tampered with in transit."""
 
+    reason = "bad_checksum"
+
 
 class UnknownType(DhcpCodecError):
-    pass
+    reason = "unknown_type"
 
 
 class InvalidField(DhcpCodecError):
     """Well-formed frame whose fields violate message invariants."""
+
+    reason = "invalid_field"
 
 
 class PoolExhausted(Exception):
@@ -101,9 +110,6 @@ class MacAddr:
 
     def __str__(self) -> str:
         return ":".join(f"{b:02x}" for b in self.octets)
-
-
-BROADCAST_MAC = MacAddr(b"\xff" * 6)
 
 
 @dataclass(frozen=True)

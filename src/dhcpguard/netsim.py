@@ -41,8 +41,10 @@ from typing import Callable, Iterable, Optional, Union
 
 from .dhcp import (
     AddressPool,
+    BadChecksum,
     Binding,
     DhcpClient,
+    DhcpCodecError,
     DhcpMessage,
     DhcpServer,
     Ipv4Addr,
@@ -123,7 +125,8 @@ class DhcpPayload:
     """DHCP wire bytes plus the decode attempt.
 
     ``message`` is ``None`` when the bytes do not decode; ``error`` then
-    carries the reason (``bad_checksum`` for tampering).
+    carries the failure's :attr:`~dhcpguard.dhcp.DhcpCodecError.reason`
+    (``bad_checksum`` for tampering).
     """
 
     raw: bytes
@@ -138,15 +141,8 @@ class DhcpPayload:
     def from_raw(cls, raw: bytes) -> "DhcpPayload":
         try:
             return cls(raw=raw, message=decode_message(raw))
-        except ValueError as exc:
-            reason = type(exc).__name__
-            reason = {
-                "BadChecksum": "bad_checksum",
-                "BadLength": "bad_length",
-                "UnknownType": "unknown_type",
-                "InvalidField": "invalid_field",
-            }.get(reason, "undecodable")
-            return cls(raw=raw, message=None, error=reason)
+        except DhcpCodecError as exc:
+            return cls(raw=raw, message=None, error=exc.reason)
 
 
 Payload = Union[DhcpPayload, GenericPayload]
@@ -210,9 +206,6 @@ class Trace:
     duration: float
     topology: list[NodeSpec]
     events: list[SimEvent]
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def node_mac(node_id: int) -> MacAddr:
@@ -428,7 +421,7 @@ class _Lan:
             raw = bytearray(encode_message(msg))
             pos = self.rng.randrange(BODY_SIZE)
             raw[pos] ^= 1 << self.rng.randrange(8)
-            payload = DhcpPayload(raw=bytes(raw), message=None, error="bad_checksum")
+            payload = DhcpPayload(raw=bytes(raw), message=None, error=BadChecksum.reason)
         else:
             payload = DhcpPayload.from_message(msg)
         self.trace.append(SimEvent(t, src, dst, payload, label))
@@ -689,6 +682,9 @@ def event_to_json(ev: SimEvent) -> dict:
 
 
 def event_from_json(data: dict) -> SimEvent:
+    time = float(data["time"])
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
     payload_data = data["payload"]
     kind = payload_data["kind"]
     if kind == "dhcp":
@@ -707,7 +703,7 @@ def event_from_json(data: dict) -> SimEvent:
         raise ValueError(f"unknown payload kind {kind!r}")
     dst = data["dst"]
     return SimEvent(
-        time=float(data["time"]),
+        time=time,
         src=int(data["src"]),
         dst=BROADCAST if dst == "broadcast" else int(dst),
         payload=payload,
@@ -745,6 +741,9 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
         header = json.loads(header_line)
         if header.get("schema") != TRACE_SCHEMA:
             raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
+        duration = float(header["duration"])
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"{path}: duration must be finite and > 0, got {duration}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -755,7 +754,7 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
     trace = Trace(
         kind=ScenarioKind(header["kind"]),
         seed=int(header["seed"]),
-        duration=float(header["duration"]),
+        duration=duration,
         topology=[_node_from_json(n) for n in header.get("topology", [])],
         events=events,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,6 +28,7 @@ from .anomaly import (
     ColdStart,
     ConfusionCounters,
     SignOfAttack,
+    TrailingWindow,
     WindowTracker,
     classify,
     sign_of_attack,
@@ -154,36 +155,6 @@ _ANOMALY_METRIC_CLASS = {
 _ANOMALY_PRIORITY = (RATE, MEAN_SIZE, DISTINCT_SOURCES)
 
 
-class _TrailingWindow:
-    """Per-event trailing metrics over the last ``window`` seconds of generic traffic."""
-
-    def __init__(self):
-        self._events: deque[tuple[float, int, int]] = deque()
-        self._size_sum = 0
-        self._sources: Counter = Counter()
-
-    def add(self, time: float, size: int, src: int) -> None:
-        self._events.append((time, size, src))
-        self._size_sum += size
-        self._sources[src] += 1
-
-    def prune(self, now: float, window: float) -> None:
-        cutoff = now - window
-        while self._events and self._events[0][0] <= cutoff:
-            _, size, src = self._events.popleft()
-            self._size_sum -= size
-            self._sources[src] -= 1
-            if self._sources[src] <= 0:
-                del self._sources[src]
-
-    def metrics(self, window: float) -> dict[str, float]:
-        count = len(self._events)
-        out = {RATE: count / window, DISTINCT_SOURCES: float(len(self._sources))}
-        if count:
-            out[MEAN_SIZE] = self._size_sum / count
-        return out
-
-
 class Pipeline:
     """Stateful detector for one trace; create a fresh one per run."""
 
@@ -191,9 +162,9 @@ class Pipeline:
                  nodes: Optional[dict[int, NodeSpec]] = None):
         self.nodes: dict[int, NodeSpec] = dict(nodes) if nodes else {}
         self._policy: Optional[Policy] = None
-        self._window: Optional[SlidingWindow] = None
+        self._window = SlidingWindow(self.nodes)
         self._tracker: Optional[WindowTracker] = None
-        self._trailing = _TrailingWindow()
+        self._trailing = TrailingWindow()
         self.layer_calls: Counter = Counter()
         self.last_consulted: tuple[Layer, ...] = ()
         if policy is not None:
@@ -205,10 +176,6 @@ class Pipeline:
 
     def _install(self, policy: Policy) -> None:
         self._policy = policy
-        if self._window is None:
-            self._window = SlidingWindow(policy.ingredients.window, self.nodes)
-        else:
-            self._window.window = policy.ingredients.window
         if self._tracker is None:
             self._tracker = WindowTracker(policy.anomaly)
 
@@ -273,9 +240,7 @@ class Pipeline:
         self._tracker.add_event(view.event)
         if view.is_dhcp:
             return None
-        self._trailing.add(view.time, view.size_bytes, view.src)
-        self._trailing.prune(view.time, policy.anomaly.window)
-        metrics = self._trailing.metrics(policy.anomaly.window)
+        metrics = self._trailing.add(view.time, view.size_bytes, view.src, policy.anomaly.window)
         try:
             exceeded = self._tracker.baseline.exceeded(metrics)
         except ColdStart:

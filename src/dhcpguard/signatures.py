@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .alerts import AlertClass, Severity
-from .dhcp import MsgType
+from .dhcp import BadChecksum, MsgType
 from .netsim import BROADCAST, DhcpPayload, NodeSpec, Role, SimEvent
 
 
@@ -75,21 +75,18 @@ class SignatureDb:
     """Immutable rule set, iterated in ascending id order."""
 
     def __init__(self, signatures: Sequence[Signature] = ()):
-        self._by_id: dict[int, Signature] = {}
+        by_id: dict[int, Signature] = {}
         for sig in signatures:
-            if sig.id in self._by_id:
+            if sig.id in by_id:
                 raise DuplicateSignatureId(f"duplicate signature id {sig.id}")
-            self._by_id[sig.id] = sig
-        self._ordered = sorted(self._by_id.values(), key=lambda s: s.id)
+            by_id[sig.id] = sig
+        self._ordered = sorted(by_id.values(), key=lambda s: s.id)
 
     def __len__(self) -> int:
         return len(self._ordered)
 
     def __iter__(self):
         return iter(self._ordered)
-
-    def get(self, sig_id: int) -> Optional[Signature]:
-        return self._by_id.get(sig_id)
 
 
 def load_signatures(path: Union[str, Path]) -> SignatureDb:
@@ -178,7 +175,7 @@ def make_view(event: SimEvent, index: int, nodes: Optional[dict[int, NodeSpec]] 
             size_bytes=len(event.payload.raw),
             is_dhcp=True,
             msg_type=msg_type,
-            checksum_ok=event.payload.error != "bad_checksum",
+            checksum_ok=event.payload.error != BadChecksum.reason,
             xid=msg.xid if msg is not None else None,
             direction=direction,
         )
@@ -267,13 +264,13 @@ def _violation(ingredient: Ingredient, attack_class: AlertClass, detail: str,
 class SlidingWindow:
     """Recent-traffic state feeding the parameterized checks.
 
-    Holds only events newer than ``now - window``; per-source counts and
+    Holds only events newer than ``now - window``, with ``window`` passed
+    to :meth:`prune` from the policy in force; per-source counts and
     identical-payload counts are maintained incrementally.  ``nodes``
     supplies positions for the radio-range check and may be ``None``.
     """
 
-    def __init__(self, window: float, nodes: Optional[dict[int, NodeSpec]] = None):
-        self.window = window
+    def __init__(self, nodes: Optional[dict[int, NodeSpec]] = None):
         self.nodes = nodes or {}
         self._events: deque[tuple[float, int, bytes]] = deque()
         self._src_counts: Counter = Counter()
@@ -281,8 +278,8 @@ class SlidingWindow:
         self._last_seen: dict[int, float] = {}
         self._expected: dict[int, tuple[float, int]] = {}  # xid -> (deadline, event index)
 
-    def prune(self, now: float) -> None:
-        cutoff = now - self.window
+    def prune(self, now: float, window: float) -> None:
+        cutoff = now - window
         while self._events and self._events[0][0] <= cutoff:
             _, src, pattern = self._events.popleft()
             self._src_counts[src] -= 1
@@ -333,8 +330,7 @@ class SlidingWindow:
 def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -> list[Violation]:
     """All parameterized-rule violations triggered by this event, in a-f order."""
     now = view.time
-    w.window = cfg.window
-    w.prune(now)
+    w.prune(now, cfg.window)
 
     expired = w.pop_expired_expectations(now)
 

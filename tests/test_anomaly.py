@@ -3,6 +3,8 @@ import math
 import pytest
 
 from dhcpguard.anomaly import (
+    DISTINCT_SOURCES,
+    MEAN_SIZE,
     AnomalyConfig,
     Baseline,
     ColdStart,
@@ -11,10 +13,10 @@ from dhcpguard.anomaly import (
     Outcome,
     RATE,
     SignVerdict,
-    Verdict,
+    TrailingWindow,
     classify,
-    detect_anomaly,
     sign_of_attack,
+    traffic_metrics,
     window_classification,
 )
 from dhcpguard.netsim import AttackClass, ScenarioKind, default_scenario, run_scenario
@@ -79,8 +81,8 @@ def test_detect_silent_at_mean_raised_far_above():
     baseline = _warmed_baseline(config)
     mean = baseline.metric(RATE).mean
     std = math.sqrt(baseline.metric(RATE).variance)
-    assert detect_anomaly(baseline, {RATE: mean}) is Verdict.SILENT
-    assert detect_anomaly(baseline, {RATE: mean + 10.0 * std}) is Verdict.RAISED
+    assert baseline.exceeded({RATE: mean}) == []
+    assert baseline.exceeded({RATE: mean + 10.0 * std}) == [RATE]
 
 
 def test_cold_start_before_warmup():
@@ -89,9 +91,9 @@ def test_cold_start_before_warmup():
     for _ in range(29):
         baseline.update({RATE: 10.0})
     with pytest.raises(ColdStart):
-        detect_anomaly(baseline, {RATE: 10.0})
+        baseline.exceeded({RATE: 10.0})
     baseline.update({RATE: 10.0})
-    assert detect_anomaly(baseline, {RATE: 10.0}) is Verdict.SILENT
+    assert baseline.exceeded({RATE: 10.0}) == []
 
 
 def test_config_validation():
@@ -187,6 +189,35 @@ def test_sign_of_attack_monotonicity_grid():
             SignVerdict.NO_ATTACK if n == 0 else SignVerdict.BOUNDARY)
 
 
+# -- traffic metrics and the trailing window ----------------------------------------
+
+
+def test_traffic_metrics_omit_mean_size_without_events():
+    assert traffic_metrics(0, 0, 0, 0.5) == {RATE: 0.0, DISTINCT_SOURCES: 0.0}
+    assert traffic_metrics(4, 600, 3, 2.0) == {
+        RATE: 2.0, DISTINCT_SOURCES: 3.0, MEAN_SIZE: 150.0}
+
+
+def test_trailing_window_drops_events_at_or_before_the_cutoff():
+    w = TrailingWindow()
+    w.add(0.0, 100, 1, 1.0)
+    w.add(0.5, 300, 2, 1.0)
+    # cutoff 1.0 - 1.0 = 0.0: the event at exactly 0.0 is dropped
+    assert w.add(1.0, 200, 2, 1.0) == {RATE: 2.0, DISTINCT_SOURCES: 1.0, MEAN_SIZE: 250.0}
+    # cutoff 0.25: the event at 0.5 is still strictly newer
+    assert w.add(1.25, 400, 3, 1.0) == {RATE: 3.0, DISTINCT_SOURCES: 2.0, MEAN_SIZE: 300.0}
+    # cutoff 0.5: the event at exactly 0.5 goes, and source 2 keeps one event
+    assert w.add(1.5, 600, 3, 1.0) == {RATE: 3.0, DISTINCT_SOURCES: 2.0, MEAN_SIZE: 400.0}
+
+
+def test_trailing_window_uses_the_window_it_is_given():
+    w = TrailingWindow()
+    w.add(0.0, 100, 1, 1.0)
+    w.add(0.6, 100, 2, 1.0)
+    # a shorter window on the next call prunes with that window
+    assert w.add(1.0, 100, 3, 0.5) == {RATE: 4.0, DISTINCT_SOURCES: 2.0, MEAN_SIZE: 100.0}
+
+
 # -- windowed classification over a trace -----------------------------------------
 
 
@@ -203,7 +234,7 @@ def test_flood_windows_raise_background_windows_stay_silent():
     assert c.tp / (c.tp + c.fn) >= 0.95
     assert c.tn / (c.tn + c.fp) >= 0.95
     # the overall ratio of the run points at "attack present or nothing missed"
-    assert tracker.overall_sign().verdict is SignVerdict.NO_ATTACK  # fn == 0
+    assert sign_of_attack(c.tn, c.fn).verdict is SignVerdict.NO_ATTACK  # fn == 0
 
 
 def test_pure_background_never_raises_alarms():

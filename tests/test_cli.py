@@ -107,6 +107,44 @@ def test_detect_counts_malformed_lines(tmp_path):
     assert report["received"] == report["analyzed"] + 1
 
 
+def test_detect_counts_non_finite_times_as_malformed(tmp_path, capsys):
+    trace, reg = _simulate(tmp_path, clients=4)
+    lines = trace.read_text().splitlines()
+    for lineno, bad_time in ((3, float("nan")), (4, float("inf")), (5, "Infinity"), (6, "-inf")):
+        event = json.loads(lines[lineno])
+        event["time"] = bad_time
+        lines[lineno] = json.dumps(event)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                 "--alerts", str(tmp_path / "a.jsonl"),
+                 "--counters", str(tmp_path / "c.json"))
+    assert rc in (EXIT_OK, EXIT_HIGH_ALERT)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "skipped 4 malformed lines" in captured.out
+    report = json.loads((tmp_path / "c.json").read_text())["report"]
+    assert report["received"] == report["analyzed"] + 4
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("nan"), "Infinity", 0, -5.0])
+def test_detect_rejects_bad_trace_duration(tmp_path, capsys, duration):
+    trace, reg = _simulate(tmp_path, clients=4)
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["duration"] = duration
+    lines[0] = json.dumps(header)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                 "--alerts", str(tmp_path / "a.jsonl"),
+                 "--counters", str(tmp_path / "c.json"))
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "duration" in captured.err
+
+
 def test_detect_missing_inputs_exit_usage(tmp_path, capsys):
     rc = run_cli("detect", "--trace", str(tmp_path / "missing.jsonl"),
                  "--registry", str(tmp_path / "missing.json"))

@@ -1,9 +1,11 @@
 import pytest
 
 from dhcpguard.alerts import AlertClass, Layer, Severity, layer_of_sign
+from dhcpguard.anomaly import DISTINCT_SOURCES, MEAN_SIZE, RATE, AnomalyConfig
 from dhcpguard.dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType
 from dhcpguard.netsim import (
     ATTACKER_IP,
+    BROADCAST,
     AttackClass,
     DhcpPayload,
     GenericPayload,
@@ -27,7 +29,13 @@ from dhcpguard.pipeline import (
     run_detection,
     verify_dhcp_offer,
 )
-from dhcpguard.signatures import SignatureDb, load_signatures, sample_signatures_path
+from dhcpguard.signatures import (
+    IngredientConfig,
+    Signature,
+    SignatureDb,
+    load_signatures,
+    sample_signatures_path,
+)
 
 LEGIT = Ipv4Addr("10.0.0.2")
 GATEWAY = Ipv4Addr("10.0.0.1")
@@ -201,6 +209,73 @@ def test_process_event_requires_policy():
     pipe = Pipeline()
     with pytest.raises(PolicyMissing):
         pipe.process_event(_event(DhcpPayload.from_message(_offer())))
+
+
+# -- what each window sees ------------------------------------------------------------
+
+
+def _two_window_policy(flood_threshold=500):
+    return Policy(
+        version=1,
+        registry=_registry(),
+        signatures=SignatureDb([Signature(1, b"EVIL", AlertClass.DOS)]),
+        ingredients=IngredientConfig(window=2.5, flood_threshold=flood_threshold),
+        anomaly=AnomalyConfig(window=0.5),
+    )
+
+
+def _generic(time, src, size, pattern):
+    return _event(GenericPayload(Proto.TCP, frozenset({"ack"}), size, pattern), time, src)
+
+
+# Generic traffic, one signature hit and one DHCP DISCOVER.
+_TWO_WINDOW_EVENTS = [
+    _generic(7.5, 1, 1000, b"old-1"),
+    _generic(9.0, 2, 1000, b"old-2"),
+    _generic(9.5, 3, 1000, b"edge"),  # exactly anomaly.window before the last event
+    _generic(9.6, 4, 100, b"recent"),
+    _generic(9.7, 5, 1000, b"EVIL payload"),
+    _event(DhcpPayload.from_message(DhcpMessage(MsgType.DISCOVER, 9, MacAddr.from_int(6))),
+           time=9.8, src=6, dst=BROADCAST),
+    _generic(10.0, 7, 300, b"last"),
+]
+
+
+def test_anomaly_window_sees_only_generic_events_that_reached_it():
+    pipe = Pipeline(_two_window_policy())
+    samples = []
+    exceeded = pipe.window_tracker.baseline.exceeded
+
+    def record(metrics):
+        samples.append(metrics)
+        return exceeded(metrics)
+
+    pipe.window_tracker.baseline.exceeded = record
+    consulted = []
+    for index, event in enumerate(_TWO_WINDOW_EVENTS):
+        pipe.process_event(event, index)
+        consulted.append(pipe.last_consulted)
+    assert consulted[4] == (Layer.VERIFIER, Layer.SIGNATURE)  # caught by the rule
+    assert Layer.ANOMALY in consulted[5]                       # DHCP reaches the layer
+    # The last call is the per-event check of the event at 10.0.  Its trailing
+    # window (9.5, 10.0] holds the events at 9.6 and 10.0 only: the one at
+    # 9.5 is at the cutoff, the rule hit stopped at the signature layer and
+    # DHCP never enters the anomaly metrics.
+    assert samples[-1] == {RATE: 2 / 0.5, DISTINCT_SOURCES: 2.0, MEAN_SIZE: 200.0}
+
+
+def test_flooding_counts_every_event_in_the_ingredient_window():
+    pipe = Pipeline(_two_window_policy(flood_threshold=5))
+    signs = [
+        alert.unique_sign if alert else None
+        for alert in (pipe.process_event(e, i) for i, e in enumerate(_TWO_WINDOW_EVENTS))
+    ]
+    # The DHCP event at 9.8 is the sixth in (7.3, 9.8], counting the rule
+    # hit and the events outside the anomaly window; at 10.0 the window
+    # (7.5, 10.0] has dropped the event at 7.5 and still holds six.
+    assert signs == [None, None, None, None, "SG-001", "SG-ING-flooding", "SG-ING-flooding"]
+    later = pipe.process_event(_generic(12.4, 8, 100, b"later"), 7)
+    assert later is None  # (9.9, 12.4] holds only the events at 10.0 and 12.4
 
 
 # -- policy updates -----------------------------------------------------------------

@@ -63,8 +63,9 @@ def test_load_three_rules(tmp_path):
     )
     db = load_signatures(path)
     assert len(db) == 3
-    assert db.get(2).direction is Direction.INBOUND
-    assert db.get(3).attack_class is AlertClass.PROBE
+    by_id = {sig.id: sig for sig in db}
+    assert by_id[2].direction is Direction.INBOUND
+    assert by_id[3].attack_class is AlertClass.PROBE
 
 
 def test_duplicate_id_reports_line_number(tmp_path):
@@ -152,14 +153,14 @@ def _classes(violations):
 
 def test_low_rate_is_silent():
     cfg = _cfg(max_rate=100.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     for i in range(10):
         assert eval_ingredients(cfg, w, gview(i, float(i), pattern=b"p%d" % i)) == []
 
 
 def test_exhaustion_fires_past_per_source_rate():
     cfg = _cfg(max_rate=50.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     fired_at = None
     for i in range(60):
         violations = eval_ingredients(cfg, w, gview(i, i * 0.005, pattern=b"p%d" % i))
@@ -171,7 +172,7 @@ def test_exhaustion_fires_past_per_source_rate():
 
 def test_negligence_fires_on_long_gap():
     cfg = _cfg(max_gap=30.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     assert eval_ingredients(cfg, w, gview(0, 0.0, pattern=b"a")) == []
     violations = eval_ingredients(cfg, w, gview(1, 40.0, pattern=b"b"))
     assert _classes(violations) == [AlertClass.NEGLIGENCE]
@@ -180,7 +181,7 @@ def test_negligence_fires_on_long_gap():
 
 def test_flooding_counts_all_sources():
     cfg = _cfg(flood_threshold=10, max_rate=1000.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     results = []
     for i in range(12):
         violations = eval_ingredients(
@@ -191,7 +192,7 @@ def test_flooding_counts_all_sources():
 
 def test_pattern_replication_on_identical_bursts():
     cfg = _cfg(replication_limit=50, flood_threshold=10_000, max_rate=10_000.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     hits = 0
     for i in range(200):
         violations = eval_ingredients(cfg, w, gview(i, i * 0.001, pattern=b"same"))
@@ -206,23 +207,23 @@ def test_radio_range_violation_uses_geometry():
         2: NodeSpec(2, Role.ROUTER, position=(20.0, 0.0), radio_range=100.0),
     }
     cfg = _cfg()
-    w = SlidingWindow(cfg.window, nodes)
+    w = SlidingWindow(nodes)
     violations = eval_ingredients(cfg, w, gview(0, 0.0, src=1, dst=2, nodes=nodes))
     assert _classes(violations) == [AlertClass.RANGE_VIOLATION]
     # within range, and broadcast, are both fine
-    w2 = SlidingWindow(cfg.window, nodes)
+    w2 = SlidingWindow(nodes)
     assert eval_ingredients(cfg, w2, gview(1, 0.0, src=2, dst=1, nodes=nodes)) == []
     assert eval_ingredients(cfg, w2, gview(2, 0.1, src=1, dst=BROADCAST, nodes=nodes)) == []
 
 
 def test_validity_flags_tampered_dhcp():
     cfg = _cfg()
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     msg = DhcpMessage(MsgType.DISCOVER, 1, MacAddr.from_int(1))
     violations = eval_ingredients(cfg, w, dview(0, 0.0, msg, corrupt=True))
     assert _classes(violations) == [AlertClass.TAMPER]
     assert violations[0].ingredient is Ingredient.VALIDITY
-    w2 = SlidingWindow(cfg.window)
+    w2 = SlidingWindow()
     assert eval_ingredients(cfg, w2, dview(1, 0.0, msg)) == []
 
 
@@ -238,7 +239,7 @@ def _ack(xid, mac_int=9):
 
 def test_unanswered_request_times_out():
     cfg = _cfg(retransmit_timeout=2.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     assert eval_ingredients(cfg, w, dview(0, 0.0, _request(0x55))) == []
     violations = eval_ingredients(cfg, w, gview(1, 3.0, pattern=b"later"))
     assert _classes(violations) == [AlertClass.RETRANSMISSION_FAILURE]
@@ -247,7 +248,7 @@ def test_unanswered_request_times_out():
 
 def test_answered_request_is_quiet():
     cfg = _cfg(retransmit_timeout=2.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     eval_ingredients(cfg, w, dview(0, 0.0, _request(0x55)))
     assert eval_ingredients(cfg, w, dview(1, 0.5, _ack(0x55))) == []
     assert eval_ingredients(cfg, w, gview(2, 5.0, pattern=b"later")) == []
@@ -255,7 +256,7 @@ def test_answered_request_is_quiet():
 
 def test_retried_request_satisfies_the_expectation():
     cfg = _cfg(retransmit_timeout=2.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     eval_ingredients(cfg, w, dview(0, 0.0, _request(0x55)))
     assert eval_ingredients(cfg, w, dview(1, 1.0, _request(0x55))) == []
     assert eval_ingredients(cfg, w, gview(2, 5.0, pattern=b"later")) == []
@@ -263,7 +264,7 @@ def test_retried_request_satisfies_the_expectation():
 
 def test_stale_events_do_not_influence_verdicts():
     cfg = _cfg(flood_threshold=10, max_rate=10_000.0, replication_limit=5, max_gap=100.0)
-    w = SlidingWindow(cfg.window)
+    w = SlidingWindow()
     for i in range(9):  # a burst just under every threshold
         eval_ingredients(cfg, w, gview(i, 0.01 * i, pattern=b"same"))
     # the window advanced far past the burst: the same traffic is judged fresh
@@ -277,7 +278,7 @@ def test_evaluation_is_pure():
     events = [(i, i * 0.1, b"p%d" % (i % 3)) for i in range(30)]
     outcomes = []
     for _ in range(2):
-        w = SlidingWindow(cfg.window)
+        w = SlidingWindow()
         run = [tuple(_classes(eval_ingredients(cfg, w, gview(i, t, pattern=p))))
                for i, t, p in events]
         outcomes.append(run)
@@ -298,7 +299,7 @@ def test_each_ingredient_maps_to_one_alert_class():
                replication_limit=1, window=1.0)
     nodes = {1: NodeSpec(1, Role.ATTACKER, position=(0.0, 0.0), radio_range=1.0),
              2: NodeSpec(2, Role.ROUTER, position=(5.0, 0.0))}
-    w = SlidingWindow(cfg.window, nodes)
+    w = SlidingWindow(nodes)
     seen = []
     seen += eval_ingredients(cfg, w, dview(0, 0.0, _request(0x1), corrupt=False, nodes=nodes))
     seen += eval_ingredients(cfg, w, dview(1, 0.1, _request(0x2), corrupt=True, nodes=nodes))
