@@ -26,7 +26,9 @@ that tampering stays byte-exact and cheap to test.
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -145,9 +147,7 @@ def checksum16(data: bytes) -> int:
     """Ones-complement sum of 16-bit big-endian words (odd tail zero-padded)."""
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+    total = sum(struct.unpack(f">{len(data) // 2}H", data))
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
@@ -194,18 +194,24 @@ def decode_message(data: bytes) -> DhcpMessage:
         raise InvalidField(str(exc)) from None
 
 
-@dataclass
-class Lease:
-    ip: Ipv4Addr
-    expires: float
-
-
 class AddressPool:
     """Lease bookkeeping over an inclusive IPv4 range.
 
     Allocation is lowest-free-address so traces stay reproducible.
-    Active leases are injective MAC -> IP; expired leases are reclaimed
-    silently.
+    Active leases are injective MAC -> IP; a lease is active while
+    ``expires > now``.
+
+    Every call costs O(log n) amortised and construction is O(1) for any
+    range size. Free addresses are the ones at or above the ``_next``
+    cursor (never handed out) plus the min-heap ``_returned`` (released
+    or expired, all below ``_next``). Expired leases are reclaimed
+    lazily from a heap of ``(expires, seq, mac)`` entries, one per grant
+    or renewal; an entry left stale by a renewal is skipped when popped.
+
+    Time only moves forward: lazy reclaim is correct only if ``now``
+    never decreases from one call to the next, as in the simulator,
+    whose events come off the heap in time order. A ``now`` below the
+    last one seen raises :class:`ValueError`.
     """
 
     def __init__(self, start: Ipv4Addr, end: Ipv4Addr, default_lease_secs: int = 3600):
@@ -214,7 +220,13 @@ class AddressPool:
         self.start = start
         self.end = end
         self.default_lease_secs = default_lease_secs
-        self._leases: dict[MacAddr, Lease] = {}
+        self._end = int(end)
+        self._next = int(start)
+        self._returned: list[int] = []
+        self._leases: dict[MacAddr, tuple[int, float]] = {}
+        self._expiry: list[tuple[float, int, MacAddr]] = []
+        self._seq = 0
+        self._now = -math.inf
 
     @property
     def size(self) -> int:
@@ -223,17 +235,31 @@ class AddressPool:
     def __contains__(self, ip: Ipv4Addr) -> bool:
         return int(self.start) <= int(ip) <= int(self.end)
 
+    def _reclaim(self, now: float) -> None:
+        """Drop every lease with ``expires <= now`` and free its address."""
+        if now < self._now:
+            raise ValueError(f"pool time went backwards: {now} < {self._now}")
+        self._now = now
+        expiry, leases = self._expiry, self._leases
+        while expiry and expiry[0][0] <= now:
+            mac = heapq.heappop(expiry)[2]
+            lease = leases.get(mac)
+            if lease is not None and lease[1] <= now:
+                del leases[mac]
+                heapq.heappush(self._returned, lease[0])
+
     def active_leases(self, now: float) -> dict[MacAddr, Ipv4Addr]:
-        return {mac: l.ip for mac, l in self._leases.items() if l.expires > now}
+        self._reclaim(now)
+        return {mac: Ipv4Addr(ip) for mac, (ip, _) in self._leases.items()}
 
     def lease_for(self, mac: MacAddr, now: float) -> Optional[Ipv4Addr]:
+        self._reclaim(now)
         lease = self._leases.get(mac)
-        if lease is not None and lease.expires > now:
-            return lease.ip
-        return None
+        return None if lease is None else Ipv4Addr(lease[0])
 
     def free_count(self, now: float) -> int:
-        return self.size - len(self.active_leases(now))
+        self._reclaim(now)
+        return self._end - self._next + 1 + len(self._returned)
 
     def allocate(self, mac: MacAddr, now: float, lease_secs: Optional[int] = None) -> Ipv4Addr:
         """Return the active lease for ``mac``, or the lowest free address.
@@ -241,20 +267,27 @@ class AddressPool:
         Raises :class:`PoolExhausted` when no address is free.
         """
         secs = self.default_lease_secs if lease_secs is None else lease_secs
-        existing = self.lease_for(mac, now)
-        if existing is not None:
-            self._leases[mac] = Lease(existing, now + secs)
-            return existing
-        taken = set(self.active_leases(now).values())
-        for value in range(int(self.start), int(self.end) + 1):
-            ip = Ipv4Addr(value)
-            if ip not in taken:
-                self._leases[mac] = Lease(ip, now + secs)
-                return ip
-        raise PoolExhausted(f"no free address in {self.start}-{self.end}")
+        self._reclaim(now)
+        lease = self._leases.get(mac)
+        if lease is not None:
+            ip = lease[0]
+        elif self._returned:
+            ip = heapq.heappop(self._returned)
+        elif self._next <= self._end:
+            ip = self._next
+            self._next += 1
+        else:
+            raise PoolExhausted(f"no free address in {self.start}-{self.end}")
+        expires = now + secs
+        self._leases[mac] = (ip, expires)
+        self._seq += 1
+        heapq.heappush(self._expiry, (expires, self._seq, mac))
+        return Ipv4Addr(ip)
 
     def release(self, mac: MacAddr) -> None:
-        self._leases.pop(mac, None)
+        lease = self._leases.pop(mac, None)
+        if lease is not None:
+            heapq.heappush(self._returned, lease[0])
 
 
 class DhcpServer:

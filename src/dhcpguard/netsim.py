@@ -197,6 +197,10 @@ class Scenario:
             raise InvalidScenario("duplicate node ids in topology")
         if not 0 <= self.attack_start <= self.duration:
             raise InvalidScenario("attack_start outside [0, duration]")
+        if self.pool_size < 1:
+            raise InvalidScenario(f"pool_size must be >= 1, got {self.pool_size}")
+        if self.spoofed_macs < 0:
+            raise InvalidScenario(f"spoofed_macs must be >= 0, got {self.spoofed_macs}")
 
 
 @dataclass

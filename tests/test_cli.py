@@ -57,6 +57,22 @@ def test_missing_topology_file_names_the_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--spoofed-macs", "-50", "spoofed_macs"),
+    ("--pool-size", "0", "pool_size"),
+    ("--pool-size", "-3", "pool_size"),
+])
+def test_simulate_rejects_bad_pool_and_flood_sizes(tmp_path, capsys, flag, value, field):
+    trace = tmp_path / "t.jsonl"
+    rc = run_cli("simulate", "--scenario", "starvation", "--seed", "1",
+                 "--duration", "10", flag, value, "--out", str(trace))
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert field in captured.err
+    assert not trace.exists()
+
+
 def test_detect_exits_one_on_rogue_trace(tmp_path, capsys):
     trace, reg = _simulate(tmp_path)
     alerts = tmp_path / "alerts.jsonl"

@@ -114,6 +114,29 @@ def test_invalid_field_offer_without_server_id():
         decode_message(_with_checksum(bytes(body)))
 
 
+def _reference_checksum16(data: bytes) -> int:
+    """Word-at-a-time loop the struct-based checksum16 must agree with."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def test_checksum16_matches_reference_loop():
+    rng = random.Random(1613)
+    for length in range(65):
+        bodies = [bytes(rng.randrange(256) for _ in range(length)) for _ in range(20)]
+        bodies += [b"\xff" * length, b"\x00" * length]
+        for body in bodies:
+            assert checksum16(body) == _reference_checksum16(body), (length, body)
+    # all-0xff words overflow 16 bits many times, so the carry fold runs
+    assert checksum16(b"\xff" * 64) == _reference_checksum16(b"\xff" * 64) == 0
+
+
 def test_flipped_byte_in_valid_offer_is_bad_checksum():
     msg = DhcpMessage(MsgType.OFFER, 1, MacAddr(b"\x02" * 6), server_id=Ipv4Addr("10.0.0.2"))
     data = bytearray(encode_message(msg))
@@ -213,6 +236,102 @@ def test_pool_injectivity_under_random_operations():
         ips = list(active.values())
         assert len(ips) == len(set(ips)), "two active leases share an address"
         assert all(ip in pool for ip in ips)
+
+
+class _ScanPool:
+    """The original scan-based pool, kept as the oracle for AddressPool."""
+
+    def __init__(self, start, end, default_lease_secs):
+        self.start, self.end = start, end
+        self.default_lease_secs = default_lease_secs
+        self._leases = {}
+
+    def active_leases(self, now):
+        return {mac: ip for mac, (ip, expires) in self._leases.items() if expires > now}
+
+    def lease_for(self, mac, now):
+        lease = self._leases.get(mac)
+        if lease is not None and lease[1] > now:
+            return lease[0]
+        return None
+
+    def free_count(self, now):
+        return int(self.end) - int(self.start) + 1 - len(self.active_leases(now))
+
+    def allocate(self, mac, now, lease_secs=None):
+        secs = self.default_lease_secs if lease_secs is None else lease_secs
+        existing = self.lease_for(mac, now)
+        if existing is not None:
+            self._leases[mac] = (existing, now + secs)
+            return existing
+        taken = set(self.active_leases(now).values())
+        for value in range(int(self.start), int(self.end) + 1):
+            ip = Ipv4Addr(value)
+            if ip not in taken:
+                self._leases[mac] = (ip, now + secs)
+                return ip
+        raise PoolExhausted
+
+    def release(self, mac):
+        self._leases.pop(mac, None)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PoolExhausted:
+        return PoolExhausted
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 64])
+@pytest.mark.parametrize("lease", [0, 1, 20])
+def test_pool_agrees_with_scan_oracle(size, lease):
+    rng = random.Random(size * 1000 + lease)
+    start = Ipv4Addr("10.0.1.1")
+    end = Ipv4Addr(int(start) + size - 1)
+    pool, oracle = AddressPool(start, end, lease), _ScanPool(start, end, lease)
+    macs = [MacAddr.from_int(i) for i in range(size + 6)]
+    now = 0.0
+    for step in range(600):
+        # steps of 0 make leases expire exactly at a call's ``now``
+        now += rng.choice((0.0, 0.0, 0.5, 1.0, rng.random() * 3))
+        mac = rng.choice(macs)
+        op = rng.random()
+        if op < 0.35:
+            got = (_outcome(pool.allocate, mac, now), _outcome(oracle.allocate, mac, now))
+        elif op < 0.55:
+            secs = rng.choice((0, 1, 2, 20, lease))
+            got = (_outcome(pool.allocate, mac, now, secs),
+                   _outcome(oracle.allocate, mac, now, secs))
+        elif op < 0.7:
+            got = (pool.release(mac), oracle.release(mac))
+        elif op < 0.85:
+            got = (pool.lease_for(mac, now), oracle.lease_for(mac, now))
+        else:
+            got = (pool.free_count(now), oracle.free_count(now))
+        assert got[0] == got[1], (step, op, got)
+        assert pool.free_count(now) == oracle.free_count(now), step
+        assert pool.active_leases(now) == oracle.active_leases(now), step
+
+
+def test_pool_rejects_time_going_backwards():
+    pool = _pool()
+    pool.allocate(MacAddr.from_int(1), now=5.0)
+    assert pool.free_count(5.0) == 9  # the same ``now`` again is fine
+    with pytest.raises(ValueError):
+        pool.allocate(MacAddr.from_int(2), now=4.0)
+    with pytest.raises(ValueError):
+        pool.free_count(4.999)
+    with pytest.raises(ValueError):
+        pool.active_leases(0.0)
+
+
+def test_pool_over_a_slash_8_is_built_lazily():
+    pool = AddressPool(Ipv4Addr("10.0.0.0"), Ipv4Addr("10.255.255.255"))
+    got = [pool.allocate(MacAddr.from_int(i), now=0.0) for i in range(3)]
+    assert got == [Ipv4Addr("10.0.0.0"), Ipv4Addr("10.0.0.1"), Ipv4Addr("10.0.0.2")]
+    assert pool.free_count(0.0) == 2**24 - 3
+    assert pool.size == 2**24
 
 
 # -- server / client state machines -----------------------------------------
