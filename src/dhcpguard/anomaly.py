@@ -72,7 +72,7 @@ class AnomalyConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.k <= 0 or self.warmup <= 0 or self.window <= 0:
+        if not (self.k > 0 and self.warmup > 0 and self.window > 0):  # NaN included
             raise ValueError("k, warmup and window must be > 0")
 
 
@@ -84,6 +84,7 @@ class MetricBaseline:
         self.mean = 0.0
         self.variance = 0.0
         self.samples = 0
+        self._threshold: Optional[tuple[float, float]] = None  # (k, threshold) since last update
 
     def update(self, sample: float) -> None:
         if not math.isfinite(sample):
@@ -96,9 +97,13 @@ class MetricBaseline:
             self.mean += self.alpha * diff
             self.variance = (1.0 - self.alpha) * self.variance + self.alpha * diff * diff
         self.samples += 1
+        self._threshold = None
 
     def threshold(self, k: float) -> float:
-        return self.mean + k * math.sqrt(self.variance)
+        cached = self._threshold
+        if cached is None or cached[0] != k:
+            cached = self._threshold = (k, self.mean + k * math.sqrt(self.variance))
+        return cached[1]
 
 
 class Baseline:
@@ -122,17 +127,18 @@ class Baseline:
 
         Raises :class:`ColdStart` when no observed metric is warmed up.
         """
-        warmed = [
-            name
-            for name in samples
-            if name in self._metrics and self._metrics[name].samples >= self.config.warmup
-        ]
+        warmup, k = self.config.warmup, self.config.k
+        warmed = False
+        above = []
+        for name, value in samples.items():
+            baseline = self._metrics.get(name)
+            if baseline is not None and baseline.samples >= warmup:
+                warmed = True
+                if value > baseline.threshold(k):
+                    above.append(name)
         if not warmed:
-            raise ColdStart(f"no metric has {self.config.warmup} samples yet")
-        return [
-            name for name in warmed
-            if samples[name] > self._metrics[name].threshold(self.config.k)
-        ]
+            raise ColdStart(f"no metric has {warmup} samples yet")
+        return above
 
 
 def classify(alarm_raised: bool, truth_is_attack: bool) -> Outcome:

@@ -51,6 +51,7 @@ from .dhcp import (
     MacAddr,
     MsgType,
     BODY_SIZE,
+    MAX_LEASE_SECS,
     decode_message,
     encode_message,
 )
@@ -201,6 +202,13 @@ class Scenario:
             raise InvalidScenario(f"pool_size must be >= 1, got {self.pool_size}")
         if self.spoofed_macs < 0:
             raise InvalidScenario(f"spoofed_macs must be >= 0, got {self.spoofed_macs}")
+        if not self.topology and self.clients < 1:
+            raise InvalidScenario(f"clients must be >= 1, got {self.clients}")
+        if not 0 <= self.lease_secs <= MAX_LEASE_SECS:
+            raise InvalidScenario(
+                f"lease_secs must be in [0, {MAX_LEASE_SECS}], got {self.lease_secs}")
+        if not 0.0 <= self.sig_share <= 1.0:  # NaN included
+            raise InvalidScenario(f"sig_share must be in [0, 1], got {self.sig_share}")
 
 
 @dataclass

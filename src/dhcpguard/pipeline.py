@@ -10,6 +10,7 @@ updates take effect on the next event.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -37,6 +38,7 @@ from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType
 from .netsim import AttackClass, NodeSpec, SimEvent
 from .signatures import (
     EventView,
+    Ingredient,
     IngredientConfig,
     SignatureDb,
     SlidingWindow,
@@ -69,6 +71,9 @@ class VerifyResult(str, Enum):
     ROGUE = "rogue"
 
 
+# A LAN has a handful of servers, so a few triples recur on every OFFER
+# and ACK; the bound keeps a trace of forged triples from growing it.
+@functools.lru_cache(maxsize=1024)
 def fingerprint(server_id: Ipv4Addr, gateway: Ipv4Addr, dns: Ipv4Addr) -> str:
     """Digest of the canonical OFFER fields a rogue server falsifies."""
     return hashlib.sha256(f"{server_id}|{gateway}|{dns}".encode()).hexdigest()
@@ -154,9 +159,20 @@ _ANOMALY_METRIC_CLASS = {
 }
 _ANOMALY_PRIORITY = (RATE, MEAN_SIZE, DISTINCT_SOURCES)
 
+_INGREDIENT_SIGNS = {ingredient: f"SG-ING-{ingredient.value}" for ingredient in Ingredient}
+
+# The layers an event consults, by the layer that stopped it.
+_UP_TO_VERIFIER = (Layer.VERIFIER,)
+_UP_TO_SIGNATURE = (Layer.VERIFIER, Layer.SIGNATURE)
+_ALL_LAYERS = (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
+
 
 class Pipeline:
-    """Stateful detector for one trace; create a fresh one per run."""
+    """Stateful detector for one trace; create a fresh one per run.
+
+    ``nodes`` is fixed for the life of the pipeline: event directions and
+    the cached radio-range verdicts are derived from it.
+    """
 
     def __init__(self, policy: Optional[Policy] = None,
                  nodes: Optional[dict[int, NodeSpec]] = None):
@@ -165,7 +181,7 @@ class Pipeline:
         self._window = SlidingWindow(self.nodes)
         self._tracker: Optional[WindowTracker] = None
         self._trailing = TrailingWindow()
-        self.layer_calls: Counter = Counter()
+        self._stops: Counter = Counter()  # consulted-layer tuple -> events
         self.last_consulted: tuple[Layer, ...] = ()
         if policy is not None:
             self._install(policy)
@@ -173,6 +189,15 @@ class Pipeline:
     @property
     def policy(self) -> Optional[Policy]:
         return self._policy
+
+    @property
+    def layer_calls(self) -> Counter:
+        """Events that consulted each layer so far."""
+        calls: Counter = Counter()
+        for consulted, n in self._stops.items():
+            for layer in consulted:
+                calls[layer] += n
+        return calls
 
     def _install(self, policy: Policy) -> None:
         self._policy = policy
@@ -232,7 +257,7 @@ class Pipeline:
                 attack_class=first.attack_class,
                 severity=first.severity,
                 evidence=(view.index,) + first.related,
-                unique_sign=f"SG-ING-{first.ingredient.value}",
+                unique_sign=_INGREDIENT_SIGNS[first.ingredient],
             )
         return None
 
@@ -272,17 +297,16 @@ class Pipeline:
         # REQUEST) even though an earlier layer's alert stops later layers
         # from being consulted.
         violations = eval_ingredients(policy.ingredients, self._window, view)
-        consulted = [Layer.VERIFIER]
+        consulted = _UP_TO_VERIFIER
         alert = self._verifier_layer(view, policy)
         if alert is None:
-            consulted.append(Layer.SIGNATURE)
+            consulted = _UP_TO_SIGNATURE
             alert = self._signature_layer(view, policy, violations)
-        if alert is None:
-            consulted.append(Layer.ANOMALY)
-            alert = self._anomaly_layer(view, policy)
-        self.last_consulted = tuple(consulted)
-        for layer in consulted:
-            self.layer_calls[layer] += 1
+            if alert is None:
+                consulted = _ALL_LAYERS
+                alert = self._anomaly_layer(view, policy)
+        self.last_consulted = consulted
+        self._stops[consulted] += 1
         return alert
 
     @property
@@ -355,42 +379,52 @@ def run_detection(
     if pipeline.policy is None:
         raise PolicyMissing("no policy installed")
     db = pipeline.policy.signatures
+    nodes = pipeline.nodes
+    benign = AttackClass.NONE
 
     alerts: list[Alert] = []
-    counters = ConfusionCounters()
     blocked: list[int] = []
-    alerts_by_layer: Counter = Counter()
+    # One count per (ground truth, alerted, route) in the loop; every other
+    # tally is derived from it, and enum members become strings, at the end.
+    # The route is None for background events.
+    tally: Counter = Counter()
+    attack_marks: list[tuple[float, bool]] = []  # (time, captured) per attack event
+
+    for index, event in enumerate(events):
+        view = make_view(event, index, nodes)
+        alert = pipeline.process_view(view)
+        hit = alert is not None
+        if hit:
+            alerts.append(alert)
+            if block and alert.layer is Layer.VERIFIER:
+                blocked.append(index)
+        cls = event.ground_truth
+        if cls is benign:
+            tally[cls, hit, None] += 1
+        else:
+            # Route split: an attack whose payload any loaded signature can
+            # match is "signature-based"; the rest are "anomaly-based".
+            tally[cls, hit, db.matches_any(view.pattern)] += 1
+            attack_marks.append((event.time, hit))
+
+    counters = ConfusionCounters()
     generated: Counter = Counter()
     captured: Counter = Counter()
     route_sig: Counter = Counter()
     route_anom: Counter = Counter()
     caught_sig: Counter = Counter()
     caught_anom: Counter = Counter()
-    attack_marks: list[tuple[float, bool]] = []  # (time, captured) per attack event
-
-    for index, event in enumerate(events):
-        view = make_view(event, index, pipeline.nodes)
-        alert = pipeline.process_view(view)
-        hit = alert is not None
+    for (cls, hit, matchable), n in tally.items():
+        counters.add(classify(hit, cls is not benign), n)
+        if cls is benign:
+            continue
+        generated[cls] += n
+        (route_sig if matchable else route_anom)[cls] += n
         if hit:
-            alerts.append(alert)
-            alerts_by_layer[alert.layer.value] += 1
-            if block and alert.layer is Layer.VERIFIER:
-                blocked.append(index)
-        truth = event.ground_truth is not AttackClass.NONE
-        counters.add(classify(hit, truth))
-        if truth:
-            cls = event.ground_truth.value
-            generated[cls] += 1
-            if hit:
-                captured[cls] += 1
-            # Route split: an attack whose payload any loaded signature can
-            # match is "signature-based"; the rest are "anomaly-based".
-            matchable = any(sig.pattern in view.pattern for sig in db)
-            (route_sig if matchable else route_anom)[cls] += 1
-            if hit:
-                (caught_sig if matchable else caught_anom)[cls] += 1
-            attack_marks.append((event.time, hit))
+            captured[cls] += n
+            (caught_sig if matchable else caught_anom)[cls] += n
+    by_layer = Counter(alert.layer for alert in alerts)
+    alerts_by_layer = {layer.value: n for layer, n in by_layer.items()}
 
     tsa = sum(route_sig.values())
     taa = sum(route_anom.values())
@@ -417,7 +451,7 @@ def run_detection(
     st_series = list(tracker.st_series) if tracker else []
 
     def ordered(counter: Counter) -> dict[str, int]:
-        out = {c.value: counter.get(c.value, 0) for c in _ATTACK_CLASS_ORDER}
+        out = {c.value: counter.get(c, 0) for c in _ATTACK_CLASS_ORDER}
         return {k: v for k, v in out.items() if v or k in ("dos", "u2r", "r2l", "probe")}
 
     return DetectionResult(

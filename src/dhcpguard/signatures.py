@@ -25,7 +25,9 @@ parameterized checks over a sliding time window:
 
 from __future__ import annotations
 
+import heapq
 import importlib.resources
+import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -72,7 +74,12 @@ class Signature:
 
 
 class SignatureDb:
-    """Immutable rule set, iterated in ascending id order."""
+    """Immutable rule set, iterated in ascending id order.
+
+    The patterns are compiled once into a single alternation, so the
+    common case of a payload that no rule matches costs one scan instead
+    of one per rule.
+    """
 
     def __init__(self, signatures: Sequence[Signature] = ()):
         by_id: dict[int, Signature] = {}
@@ -81,12 +88,22 @@ class SignatureDb:
                 raise DuplicateSignatureId(f"duplicate signature id {sig.id}")
             by_id[sig.id] = sig
         self._ordered = sorted(by_id.values(), key=lambda s: s.id)
+        # An empty alternation would match every payload, so an empty db
+        # keeps no scanner at all.
+        self._scan = (
+            re.compile(b"|".join(re.escape(sig.pattern) for sig in self._ordered)).search
+            if self._ordered else None
+        )
 
     def __len__(self) -> int:
         return len(self._ordered)
 
     def __iter__(self):
         return iter(self._ordered)
+
+    def matches_any(self, payload: bytes) -> bool:
+        """Whether any rule's pattern occurs in ``payload``, whatever its direction."""
+        return self._scan is not None and self._scan(payload) is not None
 
 
 def load_signatures(path: Union[str, Path]) -> SignatureDb:
@@ -202,6 +219,8 @@ def _direction_compatible(sig: Direction, event_dir: Optional[Direction]) -> boo
 
 def match_signature(db: SignatureDb, view: EventView) -> Optional[Signature]:
     """First (lowest-id) rule whose pattern occurs in the event payload."""
+    if not db.matches_any(view.pattern):
+        return None
     for sig in db:
         if _direction_compatible(sig.direction, view.direction) and sig.pattern in view.pattern:
             return sig
@@ -232,7 +251,7 @@ class IngredientConfig:
     def __post_init__(self):
         for name in ("max_rate", "max_gap", "flood_threshold",
                      "retransmit_timeout", "replication_limit", "window"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN included
                 raise ValueError(f"{name} must be > 0")
 
 
@@ -267,7 +286,13 @@ class SlidingWindow:
     Holds only events newer than ``now - window``, with ``window`` passed
     to :meth:`prune` from the policy in force; per-source counts and
     identical-payload counts are maintained incrementally.  ``nodes``
-    supplies positions for the radio-range check and may be ``None``.
+    supplies positions for the radio-range check and may be ``None``; it
+    must not change afterwards, because range verdicts are cached per
+    ``(src, dst)`` pair of known nodes.
+
+    Pending REQUESTs sit in a dict keyed by xid and in a heap of
+    ``(deadline, seq, xid)``; a heap entry whose xid was answered,
+    retried or re-requested since is stale and skipped when it comes due.
     """
 
     def __init__(self, nodes: Optional[dict[int, NodeSpec]] = None):
@@ -276,7 +301,10 @@ class SlidingWindow:
         self._src_counts: Counter = Counter()
         self._pattern_counts: Counter = Counter()
         self._last_seen: dict[int, float] = {}
-        self._expected: dict[int, tuple[float, int]] = {}  # xid -> (deadline, event index)
+        self._expected: dict[int, tuple[int, int]] = {}  # xid -> (seq, event index)
+        self._deadlines: list[tuple[float, int, int]] = []  # heap of (deadline, seq, xid)
+        self._seq = 0
+        self._range_verdicts: dict[tuple[int, int], Optional[Violation]] = {}
 
     def prune(self, now: float, window: float) -> None:
         cutoff = now - window
@@ -290,8 +318,9 @@ class SlidingWindow:
                 del self._pattern_counts[pattern]
 
     def observe(self, view: EventView) -> None:
-        self._events.append((view.time, view.src, view.pattern))
-        self._src_counts[view.src] += 1
+        event = view.event
+        self._events.append((event.time, event.src, view.pattern))
+        self._src_counts[event.src] += 1
         self._pattern_counts[view.pattern] += 1
 
     def total(self) -> int:
@@ -310,39 +339,82 @@ class SlidingWindow:
         self._last_seen[src] = now
 
     def pop_expired_expectations(self, now: float) -> list[tuple[int, int]]:
-        expired = [(xid, idx) for xid, (deadline, idx) in self._expected.items() if deadline < now]
-        for xid, _ in expired:
-            del self._expected[xid]
-        return expired
+        """``(xid, index)`` of pending REQUESTs whose deadline is before ``now``.
+
+        They are listed in the order the REQUESTs were noted, whatever
+        their deadlines, since the timeout may change between requests.
+        """
+        heap = self._deadlines
+        if not heap or heap[0][0] >= now:
+            return []
+        expected = self._expected
+        due: list[tuple[int, int, int]] = []
+        while heap and heap[0][0] < now:
+            _, seq, xid = heapq.heappop(heap)
+            pending = expected.get(xid)
+            if pending is not None and pending[0] == seq:
+                del expected[xid]
+                due.append((seq, xid, pending[1]))
+        due.sort()
+        return [(xid, index) for _, xid, index in due]
 
     def note_request(self, xid: int, now: float, timeout: float, index: int) -> bool:
         """Track a REQUEST; returns True when it satisfied a pending retry."""
         if xid in self._expected:
             del self._expected[xid]
             return True
-        self._expected[xid] = (now + timeout, index)
+        self._seq += 1
+        self._expected[xid] = (self._seq, index)
+        heapq.heappush(self._deadlines, (now + timeout, self._seq, xid))
         return False
 
     def note_answer(self, xid: int) -> None:
         self._expected.pop(xid, None)
 
+    def range_violation(self, src: int, dst: int) -> Optional[Violation]:
+        """Radio-range verdict for a unicast from ``src`` to ``dst``.
+
+        Only pairs of known nodes are checked, and only they are cached,
+        so ids outside ``nodes`` cannot grow the cache.
+        """
+        pair = (src, dst)
+        if pair in self._range_verdicts:
+            return self._range_verdicts[pair]
+        src_node = self.nodes.get(src)
+        dst_node = self.nodes.get(dst)
+        if src_node is None or dst_node is None:
+            return None
+        verdict = None
+        distance = dist(src_node.position, dst_node.position)
+        if distance > src_node.radio_range:
+            verdict = _violation(
+                Ingredient.RADIO_RANGE,
+                AlertClass.RANGE_VIOLATION,
+                f"node {src} reached {distance:.1f} units, beyond its "
+                f"radio range {src_node.radio_range:.1f}",
+            )
+        self._range_verdicts[pair] = verdict
+        return verdict
+
 
 def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -> list[Violation]:
     """All parameterized-rule violations triggered by this event, in a-f order."""
-    now = view.time
+    event = view.event
+    now = event.time
+    src = event.src
     w.prune(now, cfg.window)
 
     expired = w.pop_expired_expectations(now)
 
     gap_violation = None
-    last = w.last_seen(view.src)
+    last = w.last_seen(src)
     if last is not None and now - last > cfg.max_gap:
         gap_violation = _violation(
             Ingredient.TIME_INTERVAL,
             AlertClass.NEGLIGENCE,
-            f"source {view.src} silent for {now - last:.3f}s (max_gap {cfg.max_gap}s)",
+            f"source {src} silent for {now - last:.3f}s (max_gap {cfg.max_gap}s)",
         )
-    w.mark_seen(view.src, now)
+    w.mark_seen(src, now)
     w.observe(view)
 
     violations: list[Violation] = []
@@ -354,12 +426,12 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
 
     # b. time interval: exhaustion then negligence
     allowed = cfg.max_rate * cfg.window
-    count = w.src_count(view.src)
+    count = w.src_count(src)
     if count > allowed:
         violations.append(_violation(
             Ingredient.TIME_INTERVAL,
             AlertClass.EXHAUSTION,
-            f"source {view.src} sent {count} events in {cfg.window}s (limit {allowed:.0f})",
+            f"source {src} sent {count} events in {cfg.window}s (limit {allowed:.0f})",
         ))
     if gap_violation is not None:
         violations.append(gap_violation)
@@ -385,18 +457,10 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
         ))
 
     # e. radio range
-    if view.dst != BROADCAST:
-        src_node = w.nodes.get(view.src)
-        dst_node = w.nodes.get(view.dst)
-        if src_node is not None and dst_node is not None:
-            distance = dist(src_node.position, dst_node.position)
-            if distance > src_node.radio_range:
-                violations.append(_violation(
-                    Ingredient.RADIO_RANGE,
-                    AlertClass.RANGE_VIOLATION,
-                    f"node {view.src} reached {distance:.1f} units, beyond its "
-                    f"radio range {src_node.radio_range:.1f}",
-                ))
+    if event.dst != BROADCAST:
+        out_of_range = w.range_violation(src, event.dst)
+        if out_of_range is not None:
+            violations.append(out_of_range)
 
     # f. pattern replication
     repeats = w.pattern_count(view.pattern)

@@ -103,6 +103,9 @@ def test_config_validation():
         AnomalyConfig(alpha=1.5)
     with pytest.raises(ValueError):
         AnomalyConfig(warmup=0)
+    for name in ("k", "window"):
+        with pytest.raises(ValueError):
+            AnomalyConfig(**{name: float("nan")})
 
 
 # -- alarm/truth classification ------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dhcpguard.cli import EXIT_HIGH_ALERT, EXIT_OK, EXIT_USAGE, main
+from dhcpguard.netsim import ScenarioKind
 from dhcpguard.pipeline import read_alerts
 
 
@@ -63,8 +64,29 @@ def test_missing_topology_file_names_the_path(tmp_path, capsys):
     ("--pool-size", "-3", "pool_size"),
 ])
 def test_simulate_rejects_bad_pool_and_flood_sizes(tmp_path, capsys, flag, value, field):
+    _assert_simulate_rejects(tmp_path, capsys, "starvation", flag, value, field)
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--sig-share", "-1", "sig_share"),
+    ("--sig-share", "7", "sig_share"),
+    ("--sig-share", "nan", "sig_share"),
+    ("--lease-secs", "-5", "lease_secs"),
+    ("--lease-secs", str(1 << 24), "lease_secs"),
+])
+def test_simulate_rejects_out_of_range_share_and_lease(tmp_path, capsys, flag, value, field):
+    _assert_simulate_rejects(tmp_path, capsys, "mixed", flag, value, field)
+
+
+@pytest.mark.parametrize("scenario", [k.value for k in ScenarioKind])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_simulate_rejects_too_few_clients(tmp_path, capsys, scenario, value):
+    _assert_simulate_rejects(tmp_path, capsys, scenario, "--clients", value, "clients")
+
+
+def _assert_simulate_rejects(tmp_path, capsys, scenario, flag, value, field):
     trace = tmp_path / "t.jsonl"
-    rc = run_cli("simulate", "--scenario", "starvation", "--seed", "1",
+    rc = run_cli("simulate", "--scenario", scenario, "--seed", "1",
                  "--duration", "10", flag, value, "--out", str(trace))
     assert rc == EXIT_USAGE
     captured = capsys.readouterr()
@@ -141,6 +163,24 @@ def test_detect_counts_non_finite_times_as_malformed(tmp_path, capsys):
     assert "skipped 4 malformed lines" in captured.out
     report = json.loads((tmp_path / "c.json").read_text())["report"]
     assert report["received"] == report["analyzed"] + 4
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--retransmit-timeout", "retransmit_timeout"),
+    ("--window", "window"),
+    ("--k", "k"),
+    ("--anomaly-window", "window"),
+])
+def test_detect_rejects_nan_thresholds(tmp_path, capsys, flag, field):
+    trace, reg = _simulate(tmp_path, duration=10, clients=4)
+    capsys.readouterr()
+    rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg), flag, "nan",
+                 "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(tmp_path / "c.json"))
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert field in captured.err
+    assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize("duration", [float("inf"), float("nan"), "Infinity", 0, -5.0])

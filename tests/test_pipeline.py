@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from dhcpguard.alerts import AlertClass, Layer, Severity, layer_of_sign
@@ -9,7 +11,9 @@ from dhcpguard.netsim import (
     AttackClass,
     DhcpPayload,
     GenericPayload,
+    NodeSpec,
     Proto,
+    Role,
     ScenarioKind,
     SimEvent,
     default_scenario,
@@ -30,12 +34,15 @@ from dhcpguard.pipeline import (
     verify_dhcp_offer,
 )
 from dhcpguard.signatures import (
+    Direction,
     IngredientConfig,
     Signature,
     SignatureDb,
     load_signatures,
     sample_signatures_path,
 )
+
+import legacy_detect as legacy
 
 LEGIT = Ipv4Addr("10.0.0.2")
 GATEWAY = Ipv4Addr("10.0.0.1")
@@ -89,6 +96,16 @@ def test_verify_rejects_non_offers():
     discover = DhcpMessage(MsgType.DISCOVER, 1, MacAddr.from_int(4))
     with pytest.raises(NotAnOffer):
         verify_dhcp_offer(discover, _registry())
+
+
+def test_fingerprint_cache_is_bounded():
+    maxsize = fingerprint.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
+    for i in range(maxsize + 10):  # forged triples cannot grow it further
+        server = Ipv4Addr(0x0A000000 + i)
+        assert fingerprint(server, GATEWAY, GATEWAY) == fingerprint.__wrapped__(
+            server, GATEWAY, GATEWAY)
+    assert fingerprint.cache_info().currsize <= maxsize
 
 
 def test_fingerprint_depends_on_all_three_fields():
@@ -296,6 +313,67 @@ def test_policy_update_allows_previously_rogue_server():
     assert pipe.process_event(rogue_offer) is None  # replay now verifies
 
 
+def test_mid_trace_policy_updates_match_the_reference(monkeypatch):
+    sc = default_scenario(
+        ScenarioKind.ROGUE_RACE, seed=11, duration=60.0, clients=20, lease_secs=10,
+        rates={AttackClass.NONE: 30.0, AttackClass.U2R: 3.0, AttackClass.R2L: 3.0,
+               AttackClass.PROBE: 3.0})
+    trace = run_scenario(sc)
+    registry = DhcpRegistry.from_records(legit_server_records(trace.topology))
+    sample = load_signatures(sample_signatures_path())
+    other = SignatureDb([Signature(1, b"keepalive", AlertClass.PROBE, Direction.INBOUND),
+                         Signature(2, b"root", AlertClass.U2R),
+                         Signature(5, b"GET /", AlertClass.R2L, Direction.OUTBOUND)])
+    # every switch changes both the retransmit timeout and the rule set
+    policies = [
+        Policy(1, registry, sample, IngredientConfig(retransmit_timeout=0.005)),
+        Policy(2, registry, other, IngredientConfig(retransmit_timeout=0.5, window=2.0)),
+        Policy(3, registry, sample, IngredientConfig(retransmit_timeout=0.003)),
+    ]
+    switch_at = {len(trace.events) * i // 3: p for i, p in enumerate(policies) if i}
+
+    def run(reference):
+        pipe = Pipeline(policies[0], {n.id: n for n in trace.topology})
+        if reference:
+            pipe._window = legacy.SlidingWindow(pipe.nodes)
+        alerts, outcomes = [], Counter()
+        for index, event in enumerate(trace.events):
+            if index in switch_at:
+                pipe.update_policy(switch_at[index])
+            alert = pipe.process_event(event, index)
+            if alert is not None:
+                alerts.append(alert.to_json())
+            outcomes[alert is not None, event.ground_truth is not AttackClass.NONE] += 1
+        return alerts, outcomes, pipe.layer_calls, pipe.window_tracker.counters
+
+    got = run(reference=False)
+    monkeypatch.setattr("dhcpguard.pipeline.match_signature", legacy.match_signature)
+    expected = run(reference=True)
+    assert got == expected
+    signs = Counter(alert["unique_sign"] for alert in expected[0])
+    for sign in ("SG-ING-retransmission", "SG-ING-radio_range", "SG-003", "SG-005"):
+        assert signs[sign] > 0  # SG-003 only in the sample rules, SG-005 only in `other`
+
+
+def test_expired_requests_keep_request_order_across_a_timeout_change():
+    mac = MacAddr.from_int(0x020000000004)
+
+    def request(xid, time, index):
+        msg = DhcpMessage(MsgType.REQUEST, xid, mac, your_ip=Ipv4Addr("10.0.1.1"), server_id=LEGIT)
+        return pipe.process_event(_event(DhcpPayload.from_message(msg), time=time), index)
+
+    empty = SignatureDb([])
+    pipe = Pipeline(Policy(1, _registry(), empty, IngredientConfig(retransmit_timeout=5.0)))
+    assert request(0x1, 0.0, 0) is None
+    pipe.update_policy(Policy(2, _registry(), empty, IngredientConfig(retransmit_timeout=0.5)))
+    assert request(0x2, 1.0, 1) is None
+    late = _event(GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"later"), time=10.0)
+    alert = pipe.process_event(late, 2)
+    # both expired; the first REQUEST leads although the second one's deadline came first
+    assert alert.unique_sign == "SG-ING-retransmission"
+    assert alert.evidence == (2, 0)
+
+
 def test_stale_policy_version_rejected():
     pipe = Pipeline(_policy(version=5))
     with pytest.raises(StaleVersion):
@@ -345,6 +423,21 @@ def test_rogue_race_detection_counts():
     assert result.alerts_by_layer.get("verifier", 0) >= 6
     assert result.counters.total == result.analyzed
     assert result.generated["rogue_dhcp"] == result.captured["rogue_dhcp"]
+
+
+def test_route_split_ignores_rule_direction():
+    # an inbound-only rule cannot fire on an outbound event, but its pattern
+    # still makes that attack "signature-based" in the route split
+    db = SignatureDb([Signature(1, b"root", AlertClass.U2R, Direction.INBOUND)])
+    nodes = {n.id: n for n in (NodeSpec(2, Role.CLIENT), NodeSpec(3, Role.ROUTER))}
+    payloads = [b"su root", b"nothing"]
+    events = [_event(GenericPayload(Proto.TCP, frozenset(), 100, p), time=0.1 * i,
+                     src=2, dst=3, truth=AttackClass.U2R) for i, p in enumerate(payloads)]
+    pipe = Pipeline(_policy(signatures=db), nodes)
+    result = run_detection(events, pipe, duration=1.0)
+    assert result.alerts_by_layer.get("signature", 0) == 0
+    assert result.generated_signature["u2r"] == 1
+    assert result.generated_anomaly["u2r"] == 1
 
 
 def test_malformed_lines_count_as_received_only():

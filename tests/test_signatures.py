@@ -30,6 +30,8 @@ from dhcpguard.signatures import (
     sample_signatures_path,
 )
 
+import legacy_detect as legacy
+
 
 def gview(index, time, pattern=b"hello", src=1, dst=2, size=100,
           flags=frozenset(), nodes=None, proto=Proto.TCP):
@@ -100,6 +102,8 @@ def test_sample_db_catches_malware_attachment_name():
 def test_empty_db_never_matches():
     db = SignatureDb([])
     assert match_signature(db, gview(0, 0.0, pattern=b"anything freepics.exe")) is None
+    for payload in (b"", b"a", b"\x00", b".*"):  # an empty alternation would match these
+        assert not db.matches_any(payload)
 
 
 def test_lowest_id_wins_when_two_match():
@@ -135,6 +139,50 @@ def test_matching_is_monotone_in_the_rule_set():
         view = gview(i, 0.0, pattern=pattern)
         if match_signature(small, view) is not None:
             assert match_signature(large, view) is not None
+
+
+# Regex metacharacters, NUL and 0xff: the compiled scan must treat every
+# pattern byte literally.
+_PATTERN_BYTES = b".*|\\()[]^$+?{}\x00\xffab"
+
+
+def _random_bytes(rng, low, high):
+    return bytes(rng.choice(_PATTERN_BYTES) for _ in range(rng.randint(low, high)))
+
+
+def _random_db(rng):
+    patterns = []
+    for _ in range(rng.randrange(6)):  # 0 rules included
+        if patterns and rng.random() < 0.4:
+            base = rng.choice(patterns)
+            cut = rng.randint(1, len(base))
+            # a prefix of an existing pattern, or one overlapping its tail
+            pattern = base[:cut] if rng.random() < 0.5 else base[-cut:] + _random_bytes(rng, 1, 2)
+        else:
+            pattern = _random_bytes(rng, 1, 4)
+        patterns.append(pattern)
+    ids = rng.sample(range(1, 100), len(patterns))
+    return SignatureDb([Signature(i, p, AlertClass.DOS, rng.choice(list(Direction)))
+                        for i, p in zip(ids, patterns)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_compiled_scan_matches_the_per_rule_loop(seed):
+    rng = random.Random(seed)
+    nodes = {1: NodeSpec(1, Role.ATTACKER), 2: NodeSpec(2, Role.CLIENT),
+             3: NodeSpec(3, Role.ROUTER)}
+    for _ in range(10):
+        db = _random_db(rng)
+        rules = list(db)
+        for i in range(50):
+            payload = _random_bytes(rng, 0, 12)
+            if rules and rng.random() < 0.5:
+                cut = rng.randint(0, len(payload))
+                payload = payload[:cut] + rng.choice(rules).pattern + payload[cut:]
+            # dst 2 is inbound, dst 3 outbound, dst 9 of unknown direction
+            view = gview(i, 0.0, pattern=payload, src=1, dst=rng.choice([2, 3, 9]), nodes=nodes)
+            assert db.matches_any(payload) == any(sig.pattern in payload for sig in db)
+            assert match_signature(db, view) is legacy.match_signature(db, view)
 
 
 # -- ingredients ----------------------------------------------------------------
@@ -262,6 +310,59 @@ def test_retried_request_satisfies_the_expectation():
     assert eval_ingredients(cfg, w, gview(2, 5.0, pattern=b"later")) == []
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_deadline_heap_matches_the_dict_scan(seed):
+    rng = random.Random(seed)
+    heap, ref = SlidingWindow(), legacy.SlidingWindow()
+    now, timeout = 0.0, 2.0
+    for index in range(400):
+        # zero and whole-second steps make deadlines tie and land exactly on `now`
+        now += rng.choice([0.0, 0.0, 0.25, 1.0, 2.0, rng.uniform(0.0, 3.0)])
+        if rng.random() < 0.1:  # the policy's timeout changes between requests
+            timeout = rng.choice([0.5, 1.0, 2.0, 5.0])
+        assert heap.pop_expired_expectations(now) == ref.pop_expired_expectations(now)
+        xid = rng.randrange(8)  # few xids, so retries and re-requests collide
+        if rng.random() < 0.6:  # a REQUEST, first try or retry
+            assert (heap.note_request(xid, now, timeout, index)
+                    == ref.note_request(xid, now, timeout, index))
+        else:  # an ACK or NAK
+            heap.note_answer(xid)
+            ref.note_answer(xid)
+    assert heap.pop_expired_expectations(now + 10.0) == ref.pop_expired_expectations(now + 10.0)
+
+
+def test_range_verdicts_match_geometry_and_are_cached_per_pair():
+    rng = random.Random(4)
+    nodes = {i: NodeSpec(i, Role.CLIENT, position=(rng.uniform(0, 50), rng.uniform(0, 50)),
+                         radio_range=rng.uniform(0, 40)) for i in range(6)}
+    w, ref = SlidingWindow(nodes), legacy.SlidingWindow(nodes)
+    verdicts = set()
+    for _ in range(2):  # the second pass is answered from the cache
+        for src in range(-1, 8):
+            for dst in range(-1, 8):
+                got = w.range_violation(src, dst)
+                assert got == ref.range_violation(src, dst)
+                if got is not None:
+                    assert w.range_violation(src, dst) is got
+                verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_range_cache_does_not_grow_on_unknown_nodes():
+    nodes = {1: NodeSpec(1, Role.ATTACKER, position=(0.0, 0.0), radio_range=10.0),
+             2: NodeSpec(2, Role.ROUTER, position=(20.0, 0.0))}
+    cfg = _cfg(max_rate=1e9, flood_threshold=10**9, replication_limit=10**9)
+    w = SlidingWindow(nodes)
+    rng = random.Random(5)
+    for i in range(500):
+        src, dst = rng.choice([(1, rng.randrange(3, 10**9)), (rng.randrange(3, 10**9), 2),
+                               (rng.randrange(3, 10**9), rng.randrange(3, 10**9))])
+        assert eval_ingredients(cfg, w, gview(i, i * 0.01, src=src, dst=dst, nodes=nodes)) == []
+    assert w._range_verdicts == {}
+    eval_ingredients(cfg, w, gview(500, 5.0, src=1, dst=2, nodes=nodes))
+    assert list(w._range_verdicts) == [(1, 2)]
+
+
 def test_stale_events_do_not_influence_verdicts():
     cfg = _cfg(flood_threshold=10, max_rate=10_000.0, replication_limit=5, max_gap=100.0)
     w = SlidingWindow()
@@ -315,5 +416,7 @@ def test_config_validation():
         IngredientConfig(window=0.0)
     with pytest.raises(ValueError):
         IngredientConfig(max_rate=-1.0)
+    with pytest.raises(ValueError):
+        IngredientConfig(retransmit_timeout=float("nan"))
     with pytest.raises(ValueError):
         Signature(1, b"", AlertClass.DOS)
