@@ -22,6 +22,10 @@ Wire layout (32 bytes, all integers big-endian):
 This layout is a deliberate fixed-size reduction of the real protocol:
 wide enough to carry every field the detector inspects, small enough
 that tampering stays byte-exact and cheap to test.
+
+An IPv4 address is a plain ``int`` in [0, 2**32) everywhere in the
+package; dotted text exists only in files, through :func:`parse_ipv4`
+and :func:`format_ipv4`.
 """
 
 from __future__ import annotations
@@ -34,13 +38,29 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
-Ipv4Addr = ipaddress.IPv4Address
+# An IPv4 address: an int in [0, MAX_IPV4].
+Ipv4Addr = int
 
-UNASSIGNED = Ipv4Addr("0.0.0.0")
+UNASSIGNED = 0
+MAX_IPV4 = (1 << 32) - 1
 
 WIRE_SIZE = 32
 BODY_SIZE = 30
 MAX_LEASE_SECS = (1 << 24) - 1
+
+# Bytes 0..26 of the body; the 24-bit lease that follows has no struct code.
+_HEAD = struct.Struct(">BI6sIIII")
+_ADDRESS_FIELDS = ("your_ip", "server_id", "gateway", "dns")
+
+
+def parse_ipv4(text: str) -> Ipv4Addr:
+    """Dotted-quad text to an address; :class:`ValueError` if it is not one."""
+    return int(ipaddress.IPv4Address(text))
+
+
+def format_ipv4(ip: Ipv4Addr) -> str:
+    """Inverse of :func:`parse_ipv4`."""
+    return str(ipaddress.IPv4Address(ip))
 
 
 class MsgType(IntEnum):
@@ -106,10 +126,6 @@ class MacAddr:
     def from_int(cls, value: int) -> "MacAddr":
         return cls(value.to_bytes(6, "big"))
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.octets == b"\xff" * 6
-
     def __str__(self) -> str:
         return ":".join(f"{b:02x}" for b in self.octets)
 
@@ -118,9 +134,9 @@ class MacAddr:
 class DhcpMessage:
     """One protocol message, the unit the verifier inspects.
 
-    Invariants are enforced at construction: OFFER/ACK carry a non-zero
-    server_id, DISCOVER carries your_ip 0.0.0.0, xid fits 32 bits and
-    the lease fits the 24-bit wire field.
+    Invariants are enforced at construction: every address and the xid
+    fit 32 bits, the lease fits the 24-bit wire field, OFFER/ACK carry a
+    non-zero server_id and DISCOVER carries your_ip 0.0.0.0.
     """
 
     msg_type: MsgType
@@ -137,9 +153,13 @@ class DhcpMessage:
             raise ValueError(f"xid out of range: {self.xid}")
         if not 0 <= self.lease_secs <= MAX_LEASE_SECS:
             raise ValueError(f"lease_secs out of range: {self.lease_secs}")
-        if self.msg_type in (MsgType.OFFER, MsgType.ACK) and int(self.server_id) == 0:
+        for name in _ADDRESS_FIELDS:
+            ip = getattr(self, name)
+            if not 0 <= ip <= MAX_IPV4:
+                raise ValueError(f"{name} out of range: {ip}")
+        if self.msg_type in (MsgType.OFFER, MsgType.ACK) and self.server_id == 0:
             raise ValueError(f"{self.msg_type.name} requires a non-zero server_id")
-        if self.msg_type is MsgType.DISCOVER and int(self.your_ip) != 0:
+        if self.msg_type is MsgType.DISCOVER and self.your_ip != 0:
             raise ValueError("DISCOVER must carry your_ip 0.0.0.0")
 
 
@@ -155,15 +175,8 @@ def checksum16(data: bytes) -> int:
 
 def encode_message(msg: DhcpMessage) -> bytes:
     """Serialize to the fixed 32-byte wire image."""
-    body = (
-        struct.pack(">BI6s", int(msg.msg_type), msg.xid, msg.client_mac.octets)
-        + msg.your_ip.packed
-        + msg.server_id.packed
-        + msg.gateway.packed
-        + msg.dns.packed
-        + msg.lease_secs.to_bytes(3, "big")
-    )
-    assert len(body) == BODY_SIZE
+    body = _HEAD.pack(msg.msg_type, msg.xid, msg.client_mac.octets, msg.your_ip,
+                      msg.server_id, msg.gateway, msg.dns) + msg.lease_secs.to_bytes(3, "big")
     return body + checksum16(body).to_bytes(2, "big")
 
 
@@ -174,7 +187,7 @@ def decode_message(data: bytes) -> DhcpMessage:
     body, stored = data[:BODY_SIZE], int.from_bytes(data[BODY_SIZE:], "big")
     if checksum16(body) != stored:
         raise BadChecksum("checksum mismatch")
-    type_byte, xid, mac = struct.unpack(">BI6s", body[:11])
+    type_byte, xid, mac, your_ip, server_id, gateway, dns = _HEAD.unpack_from(body)
     try:
         msg_type = MsgType(type_byte)
     except ValueError:
@@ -184,11 +197,11 @@ def decode_message(data: bytes) -> DhcpMessage:
             msg_type=msg_type,
             xid=xid,
             client_mac=MacAddr(mac),
-            your_ip=Ipv4Addr(body[11:15]),
-            server_id=Ipv4Addr(body[15:19]),
-            gateway=Ipv4Addr(body[19:23]),
-            dns=Ipv4Addr(body[23:27]),
-            lease_secs=int.from_bytes(body[27:30], "big"),
+            your_ip=your_ip,
+            server_id=server_id,
+            gateway=gateway,
+            dns=dns,
+            lease_secs=int.from_bytes(body[_HEAD.size:], "big"),
         )
     except ValueError as exc:
         raise InvalidField(str(exc)) from None
@@ -215,13 +228,13 @@ class AddressPool:
     """
 
     def __init__(self, start: Ipv4Addr, end: Ipv4Addr, default_lease_secs: int = 3600):
-        if int(start) > int(end):
-            raise ValueError("pool range start exceeds end")
+        if not 0 <= start <= end <= MAX_IPV4:
+            raise ValueError(f"pool range must satisfy 0 <= start <= end < 2**32, "
+                             f"got {start}..{end}")
         self.start = start
         self.end = end
         self.default_lease_secs = default_lease_secs
-        self._end = int(end)
-        self._next = int(start)
+        self._next = start
         self._returned: list[int] = []
         self._leases: dict[MacAddr, tuple[int, float]] = {}
         self._expiry: list[tuple[float, int, MacAddr]] = []
@@ -230,10 +243,10 @@ class AddressPool:
 
     @property
     def size(self) -> int:
-        return int(self.end) - int(self.start) + 1
+        return self.end - self.start + 1
 
     def __contains__(self, ip: Ipv4Addr) -> bool:
-        return int(self.start) <= int(ip) <= int(self.end)
+        return self.start <= ip <= self.end
 
     def _reclaim(self, now: float) -> None:
         """Drop every lease with ``expires <= now`` and free its address."""
@@ -250,16 +263,16 @@ class AddressPool:
 
     def active_leases(self, now: float) -> dict[MacAddr, Ipv4Addr]:
         self._reclaim(now)
-        return {mac: Ipv4Addr(ip) for mac, (ip, _) in self._leases.items()}
+        return {mac: ip for mac, (ip, _) in self._leases.items()}
 
     def lease_for(self, mac: MacAddr, now: float) -> Optional[Ipv4Addr]:
         self._reclaim(now)
         lease = self._leases.get(mac)
-        return None if lease is None else Ipv4Addr(lease[0])
+        return None if lease is None else lease[0]
 
     def free_count(self, now: float) -> int:
         self._reclaim(now)
-        return self._end - self._next + 1 + len(self._returned)
+        return self.end - self._next + 1 + len(self._returned)
 
     def allocate(self, mac: MacAddr, now: float, lease_secs: Optional[int] = None) -> Ipv4Addr:
         """Return the active lease for ``mac``, or the lowest free address.
@@ -273,16 +286,16 @@ class AddressPool:
             ip = lease[0]
         elif self._returned:
             ip = heapq.heappop(self._returned)
-        elif self._next <= self._end:
+        elif self._next <= self.end:
             ip = self._next
             self._next += 1
         else:
-            raise PoolExhausted(f"no free address in {self.start}-{self.end}")
+            raise PoolExhausted(f"all {self.size} addresses are leased")
         expires = now + secs
         self._leases[mac] = (ip, expires)
         self._seq += 1
         heapq.heappush(self._expiry, (expires, self._seq, mac))
-        return Ipv4Addr(ip)
+        return ip
 
     def release(self, mac: MacAddr) -> None:
         lease = self._leases.pop(mac, None)
@@ -301,14 +314,12 @@ class DhcpServer:
     def __init__(
         self,
         server_id: Ipv4Addr,
-        mac: MacAddr,
         pool: AddressPool,
         gateway: Ipv4Addr,
         dns: Ipv4Addr,
         lease_secs: int = 3600,
     ):
         self.server_id = server_id
-        self.mac = mac
         self.pool = pool
         self.gateway = gateway
         self.dns = dns

@@ -47,13 +47,15 @@ from .dhcp import (
     DhcpCodecError,
     DhcpMessage,
     DhcpServer,
-    Ipv4Addr,
     MacAddr,
     MsgType,
     BODY_SIZE,
+    MAX_IPV4,
     MAX_LEASE_SECS,
     decode_message,
     encode_message,
+    format_ipv4,
+    parse_ipv4,
 )
 
 TRACE_SCHEMA = "dhcpguard-trace/1"
@@ -61,10 +63,16 @@ TRACE_SCHEMA = "dhcpguard-trace/1"
 #: destination pseudo-id for link-layer broadcast
 BROADCAST = -1
 
-ROUTER_IP = Ipv4Addr("10.0.0.1")
-LEGIT_SERVER_IP = Ipv4Addr("10.0.0.2")
-ROGUE_SERVER_IP = Ipv4Addr("10.0.66.1")
-ATTACKER_IP = Ipv4Addr("10.0.66.66")
+#: longest simulated or replayed span in seconds; the simulator, the
+#: capture series and the anomaly windows all do work per second of it
+MAX_DURATION = 1e5
+
+ROUTER_IP = parse_ipv4("10.0.0.1")
+LEGIT_SERVER_IP = parse_ipv4("10.0.0.2")
+ROGUE_SERVER_IP = parse_ipv4("10.0.66.1")
+ATTACKER_IP = parse_ipv4("10.0.66.66")
+LEGIT_POOL_START = parse_ipv4("10.0.1.1")
+ROGUE_POOL = (parse_ipv4("10.0.66.100"), parse_ipv4("10.0.66.250"))
 
 _BG_PATTERNS = (
     b"GET /index.html HTTP/1.1 200",
@@ -188,8 +196,9 @@ class Scenario:
     sig_share: float = 0.5
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise InvalidScenario("duration must be > 0")
+        if not 0 < self.duration <= MAX_DURATION:  # NaN included
+            raise InvalidScenario(
+                f"duration must be in (0, {MAX_DURATION:g}], got {self.duration}")
         for cls, rate in self.rates.items():
             if rate < 0:
                 raise InvalidScenario(f"negative rate for {cls}")
@@ -198,8 +207,9 @@ class Scenario:
             raise InvalidScenario("duplicate node ids in topology")
         if not 0 <= self.attack_start <= self.duration:
             raise InvalidScenario("attack_start outside [0, duration]")
-        if self.pool_size < 1:
-            raise InvalidScenario(f"pool_size must be >= 1, got {self.pool_size}")
+        max_pool = MAX_IPV4 - LEGIT_POOL_START + 1
+        if not 1 <= self.pool_size <= max_pool:
+            raise InvalidScenario(f"pool_size must be in [1, {max_pool}], got {self.pool_size}")
         if self.spoofed_macs < 0:
             raise InvalidScenario(f"spoofed_macs must be >= 0, got {self.spoofed_macs}")
         if not self.topology and self.clients < 1:
@@ -311,11 +321,10 @@ class _Lan:
         self._client_ids = [n.id for n in self.client_nodes]
         self._check_roles()
 
-        pool_end = Ipv4Addr(int(Ipv4Addr("10.0.1.1")) + sc.pool_size - 1)
         self.legit_server = DhcpServer(
             server_id=LEGIT_SERVER_IP,
-            mac=node_mac(self.legit_node.id),
-            pool=AddressPool(Ipv4Addr("10.0.1.1"), pool_end, sc.lease_secs),
+            pool=AddressPool(LEGIT_POOL_START, LEGIT_POOL_START + sc.pool_size - 1,
+                             sc.lease_secs),
             gateway=ROUTER_IP,
             dns=ROUTER_IP,
             lease_secs=sc.lease_secs,
@@ -324,8 +333,7 @@ class _Lan:
         if self.rogue_node is not None:
             self.rogue_server = DhcpServer(
                 server_id=ROGUE_SERVER_IP,
-                mac=node_mac(self.rogue_node.id),
-                pool=AddressPool(Ipv4Addr("10.0.66.100"), Ipv4Addr("10.0.66.250"), sc.lease_secs),
+                pool=AddressPool(*ROGUE_POOL, sc.lease_secs),
                 gateway=ATTACKER_IP,
                 dns=ATTACKER_IP,
                 lease_secs=sc.lease_secs,
@@ -737,12 +745,33 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> None:
             fh.write(json.dumps(event_to_json(ev), sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _input_error(exc: Exception) -> str:
+    """Readable reason for a parse failure of JSON-decoded input."""
+    if isinstance(exc, KeyError):
+        return f"missing {exc}"
+    return str(exc) or type(exc).__name__
+
+
+def _nodes_from_json(nodes) -> list[NodeSpec]:
+    if not isinstance(nodes, list):
+        raise ValueError(f"topology must be a list of nodes, got {nodes!r}")
+    topology = []
+    for i, node in enumerate(nodes):
+        try:
+            topology.append(_node_from_json(node))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"topology node {i}: {_input_error(exc)}") from None
+    return topology
+
+
 def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
     """Load a trace file.
 
     Returns the trace plus a list of (line number, reason) for lines that
-    failed to parse; parsing continues past bad lines so the caller can
-    count received-but-not-analyzed input.
+    failed to parse or whose time lies outside [0, duration]; parsing
+    continues past bad lines so the caller can count
+    received-but-not-analyzed input.  A bad header is a :class:`ValueError`
+    naming the file.
     """
     events: list[SimEvent] = []
     malformed: list[tuple[int, str]] = []
@@ -751,25 +780,32 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
         if not header_line:
             raise ValueError(f"{path}: empty trace file")
         header = json.loads(header_line)
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: trace header must be a JSON object")
         if header.get("schema") != TRACE_SCHEMA:
             raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
-        duration = float(header["duration"])
-        if not (math.isfinite(duration) and duration > 0):
-            raise ValueError(f"{path}: duration must be finite and > 0, got {duration}")
+        try:
+            kind = ScenarioKind(header["kind"])
+            seed = int(header["seed"])
+            duration = float(header["duration"])
+            topology = _nodes_from_json(header.get("topology", []))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad trace header: {_input_error(exc)}") from None
+        if not 0 < duration <= MAX_DURATION:  # NaN included
+            raise ValueError(
+                f"{path}: duration must be in (0, {MAX_DURATION:g}], got {duration}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
-                events.append(event_from_json(json.loads(line)))
+                event = event_from_json(json.loads(line))
+                if not 0.0 <= event.time <= duration:
+                    raise ValueError(f"time {event.time} outside [0, {duration}]")
             except (ValueError, KeyError, TypeError) as exc:
-                malformed.append((lineno, str(exc) or type(exc).__name__))
-    trace = Trace(
-        kind=ScenarioKind(header["kind"]),
-        seed=int(header["seed"]),
-        duration=duration,
-        topology=[_node_from_json(n) for n in header.get("topology", [])],
-        events=events,
-    )
+                malformed.append((lineno, _input_error(exc)))
+            else:
+                events.append(event)
+    trace = Trace(kind=kind, seed=seed, duration=duration, topology=topology, events=events)
     return trace, malformed
 
 
@@ -777,7 +813,10 @@ def load_topology(path: Union[str, Path]) -> list[NodeSpec]:
     """Topology JSON: ``{"nodes": [{"id", "role", "position", ...}, ...]}``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return [_node_from_json(n) for n in data["nodes"]]
+    try:
+        return _nodes_from_json(data["nodes"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {_input_error(exc)}") from None
 
 
 def save_topology(topology: Iterable[NodeSpec], path: Union[str, Path]) -> None:
@@ -791,10 +830,10 @@ def legit_server_records(topology: Iterable[NodeSpec]) -> list[dict]:
     """Registry records for the legitimate server(s) in a topology."""
     return [
         {
-            "server_id": str(LEGIT_SERVER_IP),
+            "server_id": format_ipv4(LEGIT_SERVER_IP),
             "mac": str(node_mac(node.id)),
-            "gateway": str(ROUTER_IP),
-            "dns": str(ROUTER_IP),
+            "gateway": format_ipv4(ROUTER_IP),
+            "dns": format_ipv4(ROUTER_IP),
         }
         for node in sorted(topology, key=lambda n: n.id)
         if node.role is Role.LEGIT_DHCP

@@ -34,7 +34,7 @@ from .anomaly import (
     classify,
     sign_of_attack,
 )
-from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType
+from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType, format_ipv4, parse_ipv4
 from .netsim import AttackClass, NodeSpec, SimEvent
 from .signatures import (
     EventView,
@@ -93,7 +93,7 @@ class DhcpRegistry:
         self.entries: dict[Ipv4Addr, RegistryEntry] = {}
         for entry in entries:
             if entry.server_id in self.entries:
-                raise ValueError(f"duplicate registry server_id {entry.server_id}")
+                raise ValueError(f"duplicate registry server_id {format_ipv4(entry.server_id)}")
             self.entries[entry.server_id] = entry
 
     def __len__(self) -> int:
@@ -101,23 +101,48 @@ class DhcpRegistry:
 
     @classmethod
     def from_records(cls, records: Iterable[dict]) -> "DhcpRegistry":
+        """Entries from registry records of dotted-text fields.
+
+        A malformed record is a :class:`ValueError` naming its index.
+        """
         entries = []
-        for rec in records:
-            server_id = Ipv4Addr(rec["server_id"])
-            entries.append(RegistryEntry(
-                server_id=server_id,
-                mac=MacAddr.parse(rec["mac"]),
-                fingerprint=fingerprint(server_id, Ipv4Addr(rec["gateway"]), Ipv4Addr(rec["dns"])),
-            ))
+        for i, rec in enumerate(records):
+            try:
+                if not isinstance(rec, dict):
+                    raise ValueError(f"expected an object, got {rec!r}")
+                server_id, gateway, dns = (
+                    parse_ipv4(_record_text(rec, key)) for key in ("server_id", "gateway", "dns"))
+                entries.append(RegistryEntry(
+                    server_id=server_id,
+                    mac=MacAddr.parse(_record_text(rec, "mac")),
+                    fingerprint=fingerprint(server_id, gateway, dns),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"server record {i}: {exc}") from None
         return cls(entries)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DhcpRegistry":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: registry must be a JSON object")
         if data.get("schema") != REGISTRY_SCHEMA:
             raise ValueError(f"{path}: unsupported registry schema {data.get('schema')!r}")
-        return cls.from_records(data.get("servers", []))
+        servers = data.get("servers", [])
+        if not isinstance(servers, list):
+            raise ValueError(f"{path}: 'servers' must be a list, got {servers!r}")
+        try:
+            return cls.from_records(servers)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _record_text(rec: dict, key: str) -> str:
+    value = rec.get(key)
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
 
 
 def save_registry_records(records: Iterable[dict], path: Union[str, Path]) -> None:

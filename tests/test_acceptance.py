@@ -16,12 +16,12 @@ from dhcpguard.cli import main as cli_main
 from dhcpguard.dhcp import (
     AddressPool,
     DhcpMessage,
-    Ipv4Addr,
     MacAddr,
     MsgType,
     PoolExhausted,
     decode_message,
     encode_message,
+    parse_ipv4,
 )
 from dhcpguard.metrics import efficiency, packet_analysis_capacity, precision, overall_probability
 from dhcpguard.netsim import (
@@ -38,7 +38,7 @@ from dhcpguard.netsim import (
 from dhcpguard.pipeline import DhcpRegistry, Pipeline, Policy, run_detection
 from dhcpguard.signatures import load_signatures, sample_signatures_path
 
-from test_dhcp import random_message
+from test_dhcp import address_extreme_messages, random_message
 
 
 @contextmanager
@@ -120,7 +120,7 @@ def test_criterion_5_starvation_detection():
             if isinstance(ev.payload, DhcpPayload)
             and ev.payload.message is not None
             and ev.payload.message.msg_type is MsgType.OFFER
-            and ev.payload.message.server_id == Ipv4Addr("10.0.0.2")
+            and ev.payload.message.server_id == parse_ipv4("10.0.0.2")
         ]
         assert len(legit_offer_times) == 50
         exhaustion_time = max(legit_offer_times)
@@ -155,8 +155,8 @@ def test_criterion_6_anomaly_power_across_20_seeds():
 
 def _random_trace(rng):
     """A short, messy event stream with arbitrary labels for oracle checks."""
-    legit = Ipv4Addr("10.0.0.2")
-    gateway = Ipv4Addr("10.0.0.1")
+    legit = parse_ipv4("10.0.0.2")
+    gateway = parse_ipv4("10.0.0.1")
     events = []
     now = 0.0
     for _ in range(rng.randint(20, 60)):
@@ -167,11 +167,11 @@ def _random_trace(rng):
         if roll < 0.25:
             msg = DhcpMessage(MsgType.OFFER, rng.getrandbits(32),
                               MacAddr.from_int(rng.randrange(1, 50)),
-                              your_ip=Ipv4Addr(rng.getrandbits(32)),
+                              your_ip=rng.getrandbits(32),
                               server_id=legit if rng.random() < 0.5
-                              else Ipv4Addr(rng.randrange(1, 2**32)),
+                              else rng.randrange(1, 2**32),
                               gateway=gateway if rng.random() < 0.5
-                              else Ipv4Addr(rng.getrandbits(32)),
+                              else rng.getrandbits(32),
                               dns=gateway, lease_secs=300)
             payload = DhcpPayload.from_message(msg)
         elif roll < 0.4:
@@ -220,17 +220,18 @@ def test_criterion_7_oracle_equivalence_on_random_traces():
 
 
 def test_criterion_8a_codec_round_trip_corpus():
-    with criterion(8, "(a) 1000 random messages survive encode/decode round trip"):
+    with criterion(8, "(a) 1000 random messages and the address extremes survive "
+                      "encode/decode round trip"):
         rng = random.Random(20240817)
-        for _ in range(1000):
-            msg = random_message(rng)
+        corpus = [random_message(rng) for _ in range(1000)] + list(address_extreme_messages())
+        for msg in corpus:
             assert decode_message(encode_message(msg)) == msg
 
 
 def test_criterion_8b_pool_injectivity_under_random_ops():
     with criterion(8, "(b) pool stays injective and in-range under random operations"):
         rng = random.Random(777)
-        pool = AddressPool(Ipv4Addr("10.0.1.1"), Ipv4Addr("10.0.1.12"), 25)
+        pool = AddressPool(parse_ipv4("10.0.1.1"), parse_ipv4("10.0.1.12"), 25)
         macs = [MacAddr.from_int(i) for i in range(20)]
         now = 0.0
         for _ in range(600):

@@ -1,14 +1,30 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from dhcpguard.cli import EXIT_HIGH_ALERT, EXIT_OK, EXIT_USAGE, main
-from dhcpguard.netsim import ScenarioKind
-from dhcpguard.pipeline import read_alerts
+from dhcpguard.netsim import MAX_DURATION, ScenarioKind
+from dhcpguard.pipeline import REGISTRY_SCHEMA, read_alerts
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, if the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _simulate(tmp_path, *extra, scenario="rogue-race", seed=42, duration=60, clients=10,
@@ -62,6 +78,7 @@ def test_missing_topology_file_names_the_path(tmp_path, capsys):
     ("--spoofed-macs", "-50", "spoofed_macs"),
     ("--pool-size", "0", "pool_size"),
     ("--pool-size", "-3", "pool_size"),
+    ("--pool-size", str(2**32), "pool_size"),
 ])
 def test_simulate_rejects_bad_pool_and_flood_sizes(tmp_path, capsys, flag, value, field):
     _assert_simulate_rejects(tmp_path, capsys, "starvation", flag, value, field)
@@ -82,6 +99,12 @@ def test_simulate_rejects_out_of_range_share_and_lease(tmp_path, capsys, flag, v
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_simulate_rejects_too_few_clients(tmp_path, capsys, scenario, value):
     _assert_simulate_rejects(tmp_path, capsys, scenario, "--clients", value, "clients")
+
+
+@pytest.mark.parametrize("value", ["1e300", str(MAX_DURATION * 1.01), "nan", "inf"])
+def test_simulate_rejects_durations_beyond_the_maximum(tmp_path, capsys, value):
+    with deadline(10):
+        _assert_simulate_rejects(tmp_path, capsys, "mixed", "--duration", value, "duration")
 
 
 def _assert_simulate_rejects(tmp_path, capsys, scenario, flag, value, field):
@@ -183,22 +206,98 @@ def test_detect_rejects_nan_thresholds(tmp_path, capsys, flag, field):
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("duration", [float("inf"), float("nan"), "Infinity", 0, -5.0])
+def _rewrite_lines(path, edits):
+    """Apply ``{line index: fn(parsed JSON) -> new JSON value}`` to a JSONL file."""
+    lines = path.read_text().splitlines()
+    for index, fn in edits.items():
+        lines[index] = json.dumps(fn(json.loads(lines[index])))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("time", [-1.0, -1e300, 1e300, 60.5])
+def test_detect_counts_times_outside_the_trace_span_as_malformed(tmp_path, capsys, time):
+    trace, reg = _simulate(tmp_path, clients=4)  # duration 60
+    _rewrite_lines(trace, {3: lambda event: dict(event, time=time),
+                           4: lambda event: dict(event, time=0.0),
+                           5: lambda event: dict(event, time=60.0)})
+    capsys.readouterr()
+    with deadline(20):
+        rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                     "--alerts", str(tmp_path / "a.jsonl"),
+                     "--counters", str(tmp_path / "c.json"))
+    assert rc in (EXIT_OK, EXIT_HIGH_ALERT)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "skipped 1 malformed lines" in captured.out  # the ends 0 and 60 are kept
+    report = json.loads((tmp_path / "c.json").read_text())["report"]
+    assert report["received"] == report["analyzed"] + 1
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("nan"), "Infinity", 0, -5.0,
+                                      1e300, MAX_DURATION * 1.01])
 def test_detect_rejects_bad_trace_duration(tmp_path, capsys, duration):
     trace, reg = _simulate(tmp_path, clients=4)
-    lines = trace.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["duration"] = duration
-    lines[0] = json.dumps(header)
-    trace.write_text("\n".join(lines) + "\n")
+    _rewrite_lines(trace, {0: lambda header: dict(header, duration=duration)})
     capsys.readouterr()
-    rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
-                 "--alerts", str(tmp_path / "a.jsonl"),
-                 "--counters", str(tmp_path / "c.json"))
+    with deadline(20):
+        rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                     "--alerts", str(tmp_path / "a.jsonl"),
+                     "--counters", str(tmp_path / "c.json"))
     assert rc == EXIT_USAGE
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert "duration" in captured.err
+
+
+_RECORD = {"server_id": "10.0.0.2", "mac": "02:00:00:00:00:01",
+           "gateway": "10.0.0.1", "dns": "10.0.0.1"}
+
+
+def _registry(*servers):
+    return {"schema": REGISTRY_SCHEMA, "servers": list(servers)}
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+def _drop_role(header):
+    nodes = [_without(node, "role") if i == 2 else node
+             for i, node in enumerate(header["topology"])]
+    return dict(header, topology=nodes)
+
+
+@pytest.mark.parametrize("target, broken, needles", [
+    ("registry", lambda reg: _registry(_without(_RECORD, "dns")), ["record 0", "dns"]),
+    ("registry", lambda reg: _registry(_RECORD, dict(_RECORD, server_id="10.0.0.3", mac=5)),
+     ["record 1", "mac"]),
+    ("registry", lambda reg: _registry("x"), ["record 0"]),
+    ("registry", lambda reg: dict(reg, servers=5), ["servers"]),
+    ("registry", lambda reg: reg["servers"], ["object"]),
+    ("registry", lambda reg: _registry(dict(_RECORD, gateway="10.0.0.256")), ["record 0"]),
+    ("trace", lambda header: [header], ["header"]),
+    ("trace", _drop_role, ["node 2", "role"]),
+    ("trace", lambda header: _without(header, "duration"), ["duration"]),
+    ("trace", lambda header: dict(header, topology=None), ["topology"]),
+], ids=["record-without-dns", "mac-not-text", "record-not-object", "servers-not-list",
+        "registry-is-list", "bad-gateway", "header-is-list", "node-without-role",
+        "header-without-duration", "topology-not-list"])
+def test_detect_malformed_registry_or_header_is_a_usage_error(tmp_path, capsys, target,
+                                                               broken, needles):
+    trace, reg = _simulate(tmp_path, duration=10, clients=4)
+    if target == "registry":
+        reg.write_text(json.dumps(broken(json.loads(reg.read_text()))))
+    else:
+        _rewrite_lines(trace, {0: broken})
+    capsys.readouterr()
+    rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                 "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(tmp_path / "c.json"))
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    for needle in [str(reg if target == "registry" else trace), *needles]:
+        assert needle in captured.err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_detect_missing_inputs_exit_usage(tmp_path, capsys):

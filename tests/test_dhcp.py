@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from dhcpguard.dhcp import (
     DhcpMessage,
     DhcpServer,
     InvalidField,
-    Ipv4Addr,
+    MAX_IPV4,
     MacAddr,
     MsgType,
     PoolExhausted,
@@ -21,26 +22,43 @@ from dhcpguard.dhcp import (
     checksum16,
     decode_message,
     encode_message,
+    format_ipv4,
+    parse_ipv4,
 )
 
 
 def random_message(rng):
     msg_type = rng.choice(list(MsgType))
-    your_ip = UNASSIGNED if msg_type is MsgType.DISCOVER else Ipv4Addr(rng.getrandbits(32))
+    your_ip = UNASSIGNED if msg_type is MsgType.DISCOVER else rng.getrandbits(32)
     if msg_type in (MsgType.OFFER, MsgType.ACK):
-        server_id = Ipv4Addr(rng.randrange(1, 2**32))
+        server_id = rng.randrange(1, 2**32)
     else:
-        server_id = Ipv4Addr(rng.getrandbits(32))
+        server_id = rng.getrandbits(32)
     return DhcpMessage(
         msg_type=msg_type,
         xid=rng.getrandbits(32),
         client_mac=MacAddr(bytes(rng.randrange(256) for _ in range(6))),
         your_ip=your_ip,
         server_id=server_id,
-        gateway=Ipv4Addr(rng.getrandbits(32)),
-        dns=Ipv4Addr(rng.getrandbits(32)),
+        gateway=rng.getrandbits(32),
+        dns=rng.getrandbits(32),
         lease_secs=rng.getrandbits(24),
     )
+
+
+ADDRESS_FIELDS = ("your_ip", "server_id", "gateway", "dns")
+
+
+def address_extreme_messages():
+    """Every valid message with each address field at 0 or 2**32 - 1."""
+    for msg_type in MsgType:
+        for ips in itertools.product((0, MAX_IPV4), repeat=len(ADDRESS_FIELDS)):
+            fields = dict(zip(ADDRESS_FIELDS, ips))
+            if msg_type is MsgType.DISCOVER and fields["your_ip"]:
+                continue
+            if msg_type in (MsgType.OFFER, MsgType.ACK) and not fields["server_id"]:
+                continue
+            yield DhcpMessage(msg_type, 0x01020304, MacAddr(b"\x02" * 6), lease_secs=60, **fields)
 
 
 # -- codec ----------------------------------------------------------------
@@ -62,10 +80,10 @@ def test_offer_round_trip():
         MsgType.OFFER,
         xid=0xDEADBEEF,
         client_mac=MacAddr.parse("02:00:00:00:00:04"),
-        your_ip=Ipv4Addr("10.0.1.7"),
-        server_id=Ipv4Addr("10.0.0.2"),
-        gateway=Ipv4Addr("10.0.0.1"),
-        dns=Ipv4Addr("10.0.0.1"),
+        your_ip=parse_ipv4("10.0.1.7"),
+        server_id=parse_ipv4("10.0.0.2"),
+        gateway=parse_ipv4("10.0.0.1"),
+        dns=parse_ipv4("10.0.0.1"),
         lease_secs=3600,
     )
     assert decode_message(encode_message(msg)) == msg
@@ -76,6 +94,23 @@ def test_round_trip_corpus():
     for _ in range(1000):
         msg = random_message(rng)
         assert decode_message(encode_message(msg)) == msg
+
+
+def test_decode_returns_int_addresses():
+    msg = decode_message(encode_message(DhcpMessage(
+        MsgType.ACK, 7, MacAddr(b"\x02" * 6), your_ip=parse_ipv4("10.0.1.7"),
+        server_id=parse_ipv4("10.0.0.2"), gateway=parse_ipv4("10.0.0.1"),
+        dns=parse_ipv4("255.255.255.255"))))
+    for name in ADDRESS_FIELDS:
+        assert type(getattr(msg, name)) is int, name
+    assert (msg.your_ip, msg.server_id, msg.gateway, msg.dns) == (
+        0x0A000107, 0x0A000002, 0x0A000001, MAX_IPV4)
+
+
+def test_address_fields_sit_big_endian_at_their_wire_offsets():
+    msg = DhcpMessage(MsgType.OFFER, 1, MacAddr(b"\x02" * 6), your_ip=0x01020304,
+                      server_id=0x05060708, gateway=0x090A0B0C, dns=0x0D0E0F10)
+    assert encode_message(msg)[11:27] == bytes(range(1, 17))
 
 
 def test_checksum_detects_every_single_byte_corruption():
@@ -138,7 +173,7 @@ def test_checksum16_matches_reference_loop():
 
 
 def test_flipped_byte_in_valid_offer_is_bad_checksum():
-    msg = DhcpMessage(MsgType.OFFER, 1, MacAddr(b"\x02" * 6), server_id=Ipv4Addr("10.0.0.2"))
+    msg = DhcpMessage(MsgType.OFFER, 1, MacAddr(b"\x02" * 6), server_id=parse_ipv4("10.0.0.2"))
     data = bytearray(encode_message(msg))
     data[12] ^= 0x40
     with pytest.raises(BadChecksum):
@@ -151,8 +186,6 @@ def test_flipped_byte_in_valid_offer_is_bad_checksum():
 def test_mac_parse_and_format():
     mac = MacAddr.parse("aa:bb:cc:dd:ee:ff")
     assert str(mac) == "aa:bb:cc:dd:ee:ff"
-    assert not mac.is_broadcast
-    assert MacAddr.parse("ff:ff:ff:ff:ff:ff").is_broadcast
     with pytest.raises(ValueError):
         MacAddr.parse("aa:bb:cc")
     with pytest.raises(ValueError):
@@ -164,24 +197,45 @@ def test_message_invariants():
     with pytest.raises(ValueError):
         DhcpMessage(MsgType.OFFER, 1, mac)  # zero server_id
     with pytest.raises(ValueError):
-        DhcpMessage(MsgType.DISCOVER, 1, mac, your_ip=Ipv4Addr("1.2.3.4"))
+        DhcpMessage(MsgType.DISCOVER, 1, mac, your_ip=parse_ipv4("1.2.3.4"))
     with pytest.raises(ValueError):
         DhcpMessage(MsgType.DISCOVER, 2**32, mac)
     with pytest.raises(ValueError):
         DhcpMessage(MsgType.DISCOVER, 1, mac, lease_secs=2**24)
 
 
+@pytest.mark.parametrize("field", ADDRESS_FIELDS)
+@pytest.mark.parametrize("value", [-1, 2**32])
+def test_message_rejects_addresses_beyond_32_bits(field, value):
+    with pytest.raises(ValueError, match=field):
+        DhcpMessage(MsgType.REQUEST, 1, MacAddr(b"\x02" * 6), **{field: value})
+
+
+@pytest.mark.parametrize("text", ["10.0.0.2", "10.0.0.1", "0.0.0.0", "255.255.255.255"])
+def test_ipv4_text_round_trips(text):
+    ip = parse_ipv4(text)
+    assert type(ip) is int and 0 <= ip <= MAX_IPV4
+    assert format_ipv4(ip) == text
+
+
+@pytest.mark.parametrize("text", ["10.0.0", "10.0.0.256", "", "::1", "10.0.0.1 "])
+def test_parse_ipv4_rejects_non_addresses(text):
+    with pytest.raises(ValueError):
+        parse_ipv4(text)
+
+
 # -- address pool -----------------------------------------------------------
 
 
 def _pool(size=10, lease=100):
-    return AddressPool(Ipv4Addr("10.0.1.1"), Ipv4Addr(int(Ipv4Addr("10.0.1.1")) + size - 1), lease)
+    start = parse_ipv4("10.0.1.1")
+    return AddressPool(start, start + size - 1, lease)
 
 
 def test_pool_lowest_free_first():
     pool = _pool()
-    assert pool.allocate(MacAddr.from_int(1), now=0.0) == Ipv4Addr("10.0.1.1")
-    assert pool.allocate(MacAddr.from_int(2), now=0.0) == Ipv4Addr("10.0.1.2")
+    assert pool.allocate(MacAddr.from_int(1), now=0.0) == parse_ipv4("10.0.1.1")
+    assert pool.allocate(MacAddr.from_int(2), now=0.0) == parse_ipv4("10.0.1.2")
 
 
 def test_pool_lease_stability():
@@ -214,7 +268,7 @@ def test_pool_expiry_reclaims():
     pool.allocate(MacAddr.from_int(1), now=0.0)
     with pytest.raises(PoolExhausted):
         pool.allocate(MacAddr.from_int(2), now=5.0)
-    assert pool.allocate(MacAddr.from_int(2), now=11.0) == Ipv4Addr("10.0.1.1")
+    assert pool.allocate(MacAddr.from_int(2), now=11.0) == parse_ipv4("10.0.1.1")
 
 
 def test_pool_injectivity_under_random_operations():
@@ -256,7 +310,7 @@ class _ScanPool:
         return None
 
     def free_count(self, now):
-        return int(self.end) - int(self.start) + 1 - len(self.active_leases(now))
+        return self.end - self.start + 1 - len(self.active_leases(now))
 
     def allocate(self, mac, now, lease_secs=None):
         secs = self.default_lease_secs if lease_secs is None else lease_secs
@@ -265,8 +319,7 @@ class _ScanPool:
             self._leases[mac] = (existing, now + secs)
             return existing
         taken = set(self.active_leases(now).values())
-        for value in range(int(self.start), int(self.end) + 1):
-            ip = Ipv4Addr(value)
+        for ip in range(self.start, self.end + 1):
             if ip not in taken:
                 self._leases[mac] = (ip, now + secs)
                 return ip
@@ -287,8 +340,8 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("lease", [0, 1, 20])
 def test_pool_agrees_with_scan_oracle(size, lease):
     rng = random.Random(size * 1000 + lease)
-    start = Ipv4Addr("10.0.1.1")
-    end = Ipv4Addr(int(start) + size - 1)
+    start = parse_ipv4("10.0.1.1")
+    end = start + size - 1
     pool, oracle = AddressPool(start, end, lease), _ScanPool(start, end, lease)
     macs = [MacAddr.from_int(i) for i in range(size + 6)]
     now = 0.0
@@ -327,11 +380,23 @@ def test_pool_rejects_time_going_backwards():
 
 
 def test_pool_over_a_slash_8_is_built_lazily():
-    pool = AddressPool(Ipv4Addr("10.0.0.0"), Ipv4Addr("10.255.255.255"))
+    pool = AddressPool(parse_ipv4("10.0.0.0"), parse_ipv4("10.255.255.255"))
     got = [pool.allocate(MacAddr.from_int(i), now=0.0) for i in range(3)]
-    assert got == [Ipv4Addr("10.0.0.0"), Ipv4Addr("10.0.0.1"), Ipv4Addr("10.0.0.2")]
+    assert got == [parse_ipv4("10.0.0.0"), parse_ipv4("10.0.0.1"), parse_ipv4("10.0.0.2")]
     assert pool.free_count(0.0) == 2**24 - 3
     assert pool.size == 2**24
+
+
+@pytest.mark.parametrize("start, end", [(-1, 10), (0, 2**32), (2**32, 2**32), (5, 4)])
+def test_pool_rejects_ranges_beyond_32_bits_or_reversed(start, end):
+    with pytest.raises(ValueError):
+        AddressPool(start, end)
+
+
+def test_pool_may_span_the_whole_address_space():
+    pool = AddressPool(0, MAX_IPV4)
+    assert pool.size == 2**32
+    assert pool.allocate(MacAddr.from_int(1), now=0.0) == 0
 
 
 # -- server / client state machines -----------------------------------------
@@ -339,11 +404,10 @@ def test_pool_over_a_slash_8_is_built_lazily():
 
 def _server(size=10, lease=100):
     return DhcpServer(
-        server_id=Ipv4Addr("10.0.0.2"),
-        mac=MacAddr.from_int(0x020000000001),
+        server_id=parse_ipv4("10.0.0.2"),
         pool=_pool(size, lease),
-        gateway=Ipv4Addr("10.0.0.1"),
-        dns=Ipv4Addr("10.0.0.1"),
+        gateway=parse_ipv4("10.0.0.1"),
+        dns=parse_ipv4("10.0.0.1"),
         lease_secs=lease,
     )
 
@@ -352,8 +416,8 @@ def test_server_offers_lowest_free():
     server = _server()
     offer = server.step(DhcpMessage(MsgType.DISCOVER, 1, MacAddr.from_int(5)), now=0.0)
     assert offer.msg_type is MsgType.OFFER
-    assert offer.your_ip == Ipv4Addr("10.0.1.1")
-    assert offer.server_id == Ipv4Addr("10.0.0.2")
+    assert offer.your_ip == parse_ipv4("10.0.1.1")
+    assert offer.server_id == parse_ipv4("10.0.0.2")
 
 
 def test_server_two_step_replay_acks_same_address():
@@ -378,8 +442,8 @@ def test_server_naks_unoffered_address():
     server = _server()
     mac = MacAddr.from_int(5)
     server.step(DhcpMessage(MsgType.DISCOVER, 1, mac), now=0.0)
-    bogus = DhcpMessage(MsgType.REQUEST, 1, mac, your_ip=Ipv4Addr("10.0.9.9"),
-                        server_id=Ipv4Addr("10.0.0.2"))
+    bogus = DhcpMessage(MsgType.REQUEST, 1, mac, your_ip=parse_ipv4("10.0.9.9"),
+                        server_id=parse_ipv4("10.0.0.2"))
     assert server.step(bogus, now=0.1).msg_type is MsgType.NAK
 
 
@@ -387,12 +451,12 @@ def test_server_ignores_request_for_other_server_and_frees_lease():
     server = _server(size=1)
     mac = MacAddr.from_int(5)
     server.step(DhcpMessage(MsgType.DISCOVER, 1, mac), now=0.0)
-    foreign = DhcpMessage(MsgType.REQUEST, 1, mac, your_ip=Ipv4Addr("10.0.66.100"),
-                          server_id=Ipv4Addr("10.0.66.1"))
+    foreign = DhcpMessage(MsgType.REQUEST, 1, mac, your_ip=parse_ipv4("10.0.66.100"),
+                          server_id=parse_ipv4("10.0.66.1"))
     assert server.step(foreign, now=0.1) is None
     # the tentative lease is gone, so a different client can take it
     offer = server.step(DhcpMessage(MsgType.DISCOVER, 2, MacAddr.from_int(6)), now=0.2)
-    assert offer.your_ip == Ipv4Addr("10.0.1.1")
+    assert offer.your_ip == parse_ipv4("10.0.1.1")
 
 
 def test_server_release_frees_lease():
@@ -418,5 +482,5 @@ def test_dora_liveness():
                 wire.append(peer)
     assert client.binding is not None
     assert client.binding.ip in server.pool
-    assert client.binding.gateway == Ipv4Addr("10.0.0.1")
+    assert client.binding.gateway == parse_ipv4("10.0.0.1")
     assert hops == 4  # exactly DISCOVER, OFFER, REQUEST, ACK

@@ -1,6 +1,6 @@
 import pytest
 
-from dhcpguard.dhcp import MsgType
+from dhcpguard.dhcp import MsgType, format_ipv4
 from dhcpguard.netsim import (
     ATTACKER_IP,
     BROADCAST,
@@ -319,6 +319,6 @@ def test_legit_server_records_shape():
     records = legit_server_records(topo)
     assert len(records) == 1
     rec = records[0]
-    assert rec["server_id"] == str(LEGIT_SERVER_IP)
+    assert rec["server_id"] == format_ipv4(LEGIT_SERVER_IP)
     legit = next(n for n in topo if n.role is Role.LEGIT_DHCP)
     assert rec["mac"] == str(node_mac(legit.id))

@@ -4,19 +4,22 @@ import pytest
 
 from dhcpguard.alerts import AlertClass, Layer, Severity, layer_of_sign
 from dhcpguard.anomaly import DISTINCT_SOURCES, MEAN_SIZE, RATE, AnomalyConfig
-from dhcpguard.dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType
+from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, format_ipv4, parse_ipv4
 from dhcpguard.netsim import (
     ATTACKER_IP,
     BROADCAST,
     AttackClass,
     DhcpPayload,
     GenericPayload,
+    LEGIT_SERVER_IP,
     NodeSpec,
     Proto,
+    ROUTER_IP,
     Role,
     ScenarioKind,
     SimEvent,
     default_scenario,
+    default_topology,
     legit_server_records,
     replay_client_bindings,
     run_scenario,
@@ -44,15 +47,15 @@ from dhcpguard.signatures import (
 
 import legacy_detect as legacy
 
-LEGIT = Ipv4Addr("10.0.0.2")
-GATEWAY = Ipv4Addr("10.0.0.1")
-ROGUE = Ipv4Addr("10.0.66.1")
+LEGIT = parse_ipv4("10.0.0.2")
+GATEWAY = parse_ipv4("10.0.0.1")
+ROGUE = parse_ipv4("10.0.66.1")
 
 
 def _registry():
     return DhcpRegistry.from_records([{
-        "server_id": str(LEGIT), "mac": "02:00:00:00:00:01",
-        "gateway": str(GATEWAY), "dns": str(GATEWAY),
+        "server_id": format_ipv4(LEGIT), "mac": "02:00:00:00:00:01",
+        "gateway": format_ipv4(GATEWAY), "dns": format_ipv4(GATEWAY),
     }])
 
 
@@ -66,7 +69,7 @@ def _policy(version=1, registry=None, signatures=None):
 
 def _offer(server_id=LEGIT, gateway=GATEWAY, dns=GATEWAY, xid=1):
     return DhcpMessage(MsgType.OFFER, xid, MacAddr.from_int(0x020000000004),
-                       your_ip=Ipv4Addr("10.0.1.1"), server_id=server_id,
+                       your_ip=parse_ipv4("10.0.1.1"), server_id=server_id,
                        gateway=gateway, dns=dns, lease_secs=300)
 
 
@@ -102,7 +105,7 @@ def test_fingerprint_cache_is_bounded():
     maxsize = fingerprint.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 4096
     for i in range(maxsize + 10):  # forged triples cannot grow it further
-        server = Ipv4Addr(0x0A000000 + i)
+        server = 0x0A000000 + i
         assert fingerprint(server, GATEWAY, GATEWAY) == fingerprint.__wrapped__(
             server, GATEWAY, GATEWAY)
     assert fingerprint.cache_info().currsize <= maxsize
@@ -121,10 +124,23 @@ def test_empty_registry_flags_every_offer():
 
 
 def test_registry_rejects_duplicate_server_ids():
-    record = {"server_id": str(LEGIT), "mac": "02:00:00:00:00:01",
-              "gateway": str(GATEWAY), "dns": str(GATEWAY)}
+    record = {"server_id": format_ipv4(LEGIT), "mac": "02:00:00:00:00:01",
+              "gateway": format_ipv4(GATEWAY), "dns": format_ipv4(GATEWAY)}
     with pytest.raises(ValueError):
         DhcpRegistry.from_records([record, record])
+
+
+def test_registry_text_round_trips_through_ints():
+    records = legit_server_records(default_topology(ScenarioKind.ROGUE_RACE, clients=2))
+    assert [(rec["server_id"], rec["gateway"], rec["dns"]) for rec in records] == [
+        ("10.0.0.2", "10.0.0.1", "10.0.0.1")]
+    for rec in records:
+        for key in ("server_id", "gateway", "dns"):
+            assert format_ipv4(parse_ipv4(rec[key])) == rec[key]
+    registry = DhcpRegistry.from_records(records)
+    assert list(registry.entries) == [LEGIT_SERVER_IP]
+    assert registry.entries[LEGIT_SERVER_IP].fingerprint == fingerprint(
+        LEGIT_SERVER_IP, ROUTER_IP, ROUTER_IP)
 
 
 def test_alert_sign_must_match_layer():
@@ -210,9 +226,9 @@ def test_verifier_caught_ack_still_answers_its_request():
     # answer to the pending REQUEST: no retransmission violation later
     pipe = Pipeline(_policy())
     mac = MacAddr.from_int(0x020000000004)
-    request = DhcpMessage(MsgType.REQUEST, 0x77, mac, your_ip=Ipv4Addr("10.0.66.100"),
+    request = DhcpMessage(MsgType.REQUEST, 0x77, mac, your_ip=parse_ipv4("10.0.66.100"),
                           server_id=ROGUE)
-    rogue_ack = DhcpMessage(MsgType.ACK, 0x77, mac, your_ip=Ipv4Addr("10.0.66.100"),
+    rogue_ack = DhcpMessage(MsgType.ACK, 0x77, mac, your_ip=parse_ipv4("10.0.66.100"),
                             server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP,
                             lease_secs=300)
     assert pipe.process_event(_event(DhcpPayload.from_message(request), time=0.0), 0) is None
@@ -305,10 +321,10 @@ def test_policy_update_allows_previously_rogue_server():
     assert pipe.process_event(rogue_offer) is not None
 
     extended = DhcpRegistry.from_records(
-        [{"server_id": str(LEGIT), "mac": "02:00:00:00:00:01",
-          "gateway": str(GATEWAY), "dns": str(GATEWAY)},
-         {"server_id": str(ROGUE), "mac": "02:00:00:00:00:02",
-          "gateway": str(ATTACKER_IP), "dns": str(ATTACKER_IP)}])
+        [{"server_id": format_ipv4(LEGIT), "mac": "02:00:00:00:00:01",
+          "gateway": format_ipv4(GATEWAY), "dns": format_ipv4(GATEWAY)},
+         {"server_id": format_ipv4(ROGUE), "mac": "02:00:00:00:00:02",
+          "gateway": format_ipv4(ATTACKER_IP), "dns": format_ipv4(ATTACKER_IP)}])
     pipe.update_policy(_policy(version=2, registry=extended))
     assert pipe.process_event(rogue_offer) is None  # replay now verifies
 
@@ -359,7 +375,7 @@ def test_expired_requests_keep_request_order_across_a_timeout_change():
     mac = MacAddr.from_int(0x020000000004)
 
     def request(xid, time, index):
-        msg = DhcpMessage(MsgType.REQUEST, xid, mac, your_ip=Ipv4Addr("10.0.1.1"), server_id=LEGIT)
+        msg = DhcpMessage(MsgType.REQUEST, xid, mac, your_ip=parse_ipv4("10.0.1.1"), server_id=LEGIT)
         return pipe.process_event(_event(DhcpPayload.from_message(msg), time=time), index)
 
     empty = SignatureDb([])

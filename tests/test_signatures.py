@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dhcpguard.alerts import AlertClass
-from dhcpguard.dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType, encode_message
+from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, encode_message, parse_ipv4
 from dhcpguard.netsim import (
     BROADCAST,
     AttackClass,
@@ -277,12 +277,12 @@ def test_validity_flags_tampered_dhcp():
 
 def _request(xid, mac_int=9):
     return DhcpMessage(MsgType.REQUEST, xid, MacAddr.from_int(mac_int),
-                       your_ip=Ipv4Addr("10.0.1.1"), server_id=Ipv4Addr("10.0.0.2"))
+                       your_ip=parse_ipv4("10.0.1.1"), server_id=parse_ipv4("10.0.0.2"))
 
 
 def _ack(xid, mac_int=9):
     return DhcpMessage(MsgType.ACK, xid, MacAddr.from_int(mac_int),
-                       your_ip=Ipv4Addr("10.0.1.1"), server_id=Ipv4Addr("10.0.0.2"))
+                       your_ip=parse_ipv4("10.0.1.1"), server_id=parse_ipv4("10.0.0.2"))
 
 
 def test_unanswered_request_times_out():
