@@ -35,6 +35,11 @@ from typing import Iterable, NamedTuple, Optional
 from .netsim import AttackClass, GenericPayload, SimEvent
 
 
+#: most tumbling windows a run may close; MAX_DURATION at the default 1 s
+#: window.  Each closed window is an evaluation and a counters row.
+MAX_WINDOWS = 10**5
+
+
 class ColdStart(Exception):
     """Raised when no metric has seen enough samples to judge."""
 

@@ -353,7 +353,7 @@ class DhcpServer:
                 self.pool.release(msg.client_mac)
                 self._offered.pop((msg.xid, msg.client_mac), None)
                 return None
-            promised = self._offered.get((msg.xid, msg.client_mac))
+            promised = self._offered.pop((msg.xid, msg.client_mac), None)
             if promised is None:
                 promised = self.pool.lease_for(msg.client_mac, now)
             if promised is None or promised != msg.your_ip:

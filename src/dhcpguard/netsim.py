@@ -67,6 +67,11 @@ BROADCAST = -1
 #: capture series and the anomaly windows all do work per second of it
 MAX_DURATION = 1e5
 
+#: most events one rate (``rate * duration``), flood or client count may
+#: ask of a run; above the ~8.5e6 rate-driven events of a default mixed
+#: run of MAX_DURATION
+MAX_EVENTS = 10**7
+
 ROUTER_IP = parse_ipv4("10.0.0.1")
 LEGIT_SERVER_IP = parse_ipv4("10.0.0.2")
 ROGUE_SERVER_IP = parse_ipv4("10.0.66.1")
@@ -200,8 +205,10 @@ class Scenario:
             raise InvalidScenario(
                 f"duration must be in (0, {MAX_DURATION:g}], got {self.duration}")
         for cls, rate in self.rates.items():
-            if rate < 0:
-                raise InvalidScenario(f"negative rate for {cls}")
+            if not 0 <= rate * self.duration <= MAX_EVENTS:  # NaN and inf included
+                raise InvalidScenario(
+                    f"rate for {cls.value} must be in [0, {MAX_EVENTS / self.duration:g}] "
+                    f"events/s over {self.duration:g} s, got {rate}")
         ids = [n.id for n in self.topology]
         if len(ids) != len(set(ids)):
             raise InvalidScenario("duplicate node ids in topology")
@@ -210,10 +217,11 @@ class Scenario:
         max_pool = MAX_IPV4 - LEGIT_POOL_START + 1
         if not 1 <= self.pool_size <= max_pool:
             raise InvalidScenario(f"pool_size must be in [1, {max_pool}], got {self.pool_size}")
-        if self.spoofed_macs < 0:
-            raise InvalidScenario(f"spoofed_macs must be >= 0, got {self.spoofed_macs}")
-        if not self.topology and self.clients < 1:
-            raise InvalidScenario(f"clients must be >= 1, got {self.clients}")
+        if not 0 <= self.spoofed_macs <= MAX_EVENTS:
+            raise InvalidScenario(
+                f"spoofed_macs must be in [0, {MAX_EVENTS}], got {self.spoofed_macs}")
+        if not self.topology and not 1 <= self.clients <= MAX_EVENTS:
+            raise InvalidScenario(f"clients must be in [1, {MAX_EVENTS}], got {self.clients}")
         if not 0 <= self.lease_secs <= MAX_LEASE_SECS:
             raise InvalidScenario(
                 f"lease_secs must be in [0, {MAX_LEASE_SECS}], got {self.lease_secs}")

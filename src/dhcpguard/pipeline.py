@@ -18,11 +18,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .alerts import Alert, AlertClass, Layer, Severity
 from .anomaly import (
     DISTINCT_SOURCES,
+    MAX_WINDOWS,
     MEAN_SIZE,
     RATE,
     AnomalyConfig,
@@ -35,7 +36,7 @@ from .anomaly import (
     sign_of_attack,
 )
 from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType, format_ipv4, parse_ipv4
-from .netsim import AttackClass, NodeSpec, SimEvent
+from .netsim import MAX_DURATION, AttackClass, NodeSpec, SimEvent
 from .signatures import (
     EventView,
     Ingredient,
@@ -51,10 +52,6 @@ REGISTRY_SCHEMA = "dhcpguard-registry/1"
 
 
 class PipelineError(Exception):
-    pass
-
-
-class PolicyMissing(PipelineError):
     pass
 
 
@@ -79,22 +76,15 @@ def fingerprint(server_id: Ipv4Addr, gateway: Ipv4Addr, dns: Ipv4Addr) -> str:
     return hashlib.sha256(f"{server_id}|{gateway}|{dns}".encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    server_id: Ipv4Addr
-    mac: MacAddr
-    fingerprint: str
-
-
 class DhcpRegistry:
-    """Known legitimate DHCP servers, keyed by server_id."""
+    """Known legitimate DHCP servers: server_id -> fingerprint."""
 
-    def __init__(self, entries: Sequence[RegistryEntry] = ()):
-        self.entries: dict[Ipv4Addr, RegistryEntry] = {}
-        for entry in entries:
-            if entry.server_id in self.entries:
-                raise ValueError(f"duplicate registry server_id {format_ipv4(entry.server_id)}")
-            self.entries[entry.server_id] = entry
+    def __init__(self, entries: Iterable[tuple[Ipv4Addr, str]] = ()):
+        self.entries: dict[Ipv4Addr, str] = {}
+        for server_id, digest in entries:
+            if server_id in self.entries:
+                raise ValueError(f"duplicate registry server_id {format_ipv4(server_id)}")
+            self.entries[server_id] = digest
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -112,11 +102,8 @@ class DhcpRegistry:
                     raise ValueError(f"expected an object, got {rec!r}")
                 server_id, gateway, dns = (
                     parse_ipv4(_record_text(rec, key)) for key in ("server_id", "gateway", "dns"))
-                entries.append(RegistryEntry(
-                    server_id=server_id,
-                    mac=MacAddr.parse(_record_text(rec, "mac")),
-                    fingerprint=fingerprint(server_id, gateway, dns),
-                ))
+                MacAddr.parse(_record_text(rec, "mac"))  # validated, not stored
+                entries.append((server_id, fingerprint(server_id, gateway, dns)))
             except ValueError as exc:
                 raise ValueError(f"server record {i}: {exc}") from None
         return cls(entries)
@@ -160,10 +147,10 @@ def verify_dhcp_offer(msg: DhcpMessage, registry: DhcpRegistry) -> VerifyResult:
     """
     if msg.msg_type not in (MsgType.OFFER, MsgType.ACK):
         raise NotAnOffer(f"cannot verify a {msg.msg_type.name}")
-    entry = registry.entries.get(msg.server_id)
-    if entry is None:
+    expected = registry.entries.get(msg.server_id)
+    if expected is None:
         return VerifyResult.ROGUE
-    if entry.fingerprint != fingerprint(msg.server_id, msg.gateway, msg.dns):
+    if expected != fingerprint(msg.server_id, msg.gateway, msg.dns):
         return VerifyResult.ROGUE
     return VerifyResult.VALID
 
@@ -195,24 +182,23 @@ _ALL_LAYERS = (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
 class Pipeline:
     """Stateful detector for one trace; create a fresh one per run.
 
-    ``nodes`` is fixed for the life of the pipeline: event directions and
-    the cached radio-range verdicts are derived from it.
+    ``nodes`` and the policy's anomaly config are fixed for the life of
+    the pipeline: event directions and the cached radio-range verdicts
+    are derived from the first, the tumbling-window baselines from the
+    second.
     """
 
-    def __init__(self, policy: Optional[Policy] = None,
-                 nodes: Optional[dict[int, NodeSpec]] = None):
+    def __init__(self, policy: Policy, nodes: Optional[dict[int, NodeSpec]] = None):
         self.nodes: dict[int, NodeSpec] = dict(nodes) if nodes else {}
-        self._policy: Optional[Policy] = None
+        self._policy = policy
         self._window = SlidingWindow(self.nodes)
-        self._tracker: Optional[WindowTracker] = None
+        self.window_tracker = WindowTracker(policy.anomaly)
         self._trailing = TrailingWindow()
         self._stops: Counter = Counter()  # consulted-layer tuple -> events
         self.last_consulted: tuple[Layer, ...] = ()
-        if policy is not None:
-            self._install(policy)
 
     @property
-    def policy(self) -> Optional[Policy]:
+    def policy(self) -> Policy:
         return self._policy
 
     @property
@@ -224,24 +210,23 @@ class Pipeline:
                 calls[layer] += n
         return calls
 
-    def _install(self, policy: Policy) -> None:
-        self._policy = policy
-        if self._tracker is None:
-            self._tracker = WindowTracker(policy.anomaly)
-
     def update_policy(self, new_policy: Policy) -> None:
         """Swap the policy; versions must strictly increase.
 
         Detection state (windows, baselines) carries over; only the
-        thresholds and knowledge stores change.  Processing is
+        thresholds and knowledge stores change.  The anomaly config
+        cannot change: the baselines were built under it.  Processing is
         single-threaded, so the event being processed when this is
         called has already finished under the old policy.
         """
-        if self._policy is not None and new_policy.version <= self._policy.version:
+        if new_policy.version <= self._policy.version:
             raise StaleVersion(
                 f"policy version {new_policy.version} <= installed {self._policy.version}"
             )
-        self._install(new_policy)
+        if new_policy.anomaly != self._policy.anomaly:
+            raise PipelineError("anomaly config is fixed for a pipeline's life; "
+                                "start a new pipeline to change it")
+        self._policy = new_policy
 
     # -- layers --------------------------------------------------------
 
@@ -287,12 +272,12 @@ class Pipeline:
         return None
 
     def _anomaly_layer(self, view: EventView, policy: Policy) -> Optional[Alert]:
-        self._tracker.add_event(view.event)
+        self.window_tracker.add_event(view.event)
         if view.is_dhcp:
             return None
         metrics = self._trailing.add(view.time, view.size_bytes, view.src, policy.anomaly.window)
         try:
-            exceeded = self._tracker.baseline.exceeded(metrics)
+            exceeded = self.window_tracker.baseline.exceeded(metrics)
         except ColdStart:
             return None
         for metric in _ANOMALY_PRIORITY:
@@ -315,8 +300,6 @@ class Pipeline:
 
     def process_view(self, view: EventView) -> Optional[Alert]:
         policy = self._policy
-        if policy is None:
-            raise PolicyMissing("no policy installed")
         # Traffic bookkeeping precedes every verdict: the sliding window has
         # to reflect all observed traffic (a rogue ACK still answers its
         # REQUEST) even though an earlier layer's alert stops later layers
@@ -333,10 +316,6 @@ class Pipeline:
         self.last_consulted = consulted
         self._stops[consulted] += 1
         return alert
-
-    @property
-    def window_tracker(self) -> Optional[WindowTracker]:
-        return self._tracker
 
 
 # -- whole-trace detection -------------------------------------------------
@@ -385,27 +364,34 @@ class DetectionResult:
 
 
 def run_detection(
-    events: Sequence[SimEvent],
+    events: Iterable[SimEvent],
     pipeline: Pipeline,
     *,
+    duration: float,
     malformed: int = 0,
     block: bool = False,
-    duration: Optional[float] = None,
 ) -> DetectionResult:
-    """Process a trace in event order and tally alerts against ground truth.
+    """Process a trace in one pass and tally alerts against ground truth.
 
-    Per-event accounting: an alert on a labeled-attack event is a TP, an
-    alert on background is an FP, silence on an attack is an FN and
-    silence on background is a TN.  ``malformed`` input lines count as
-    received but not analyzed.  With ``block=True`` the indices of
-    verifier-flagged OFFER/ACK events are reported so replay tooling can
-    treat them as never delivered.
+    ``events`` may be any iterable, a generator included, and is read
+    once.  ``duration`` is the trace's span: the capture series has one
+    row per whole second up to ``ceil(duration)``.  Per-event accounting:
+    an alert on a labeled-attack event is a TP, an alert on background is
+    an FP, silence on an attack is an FN and silence on background is a
+    TN.  ``malformed`` input lines count as received but not analyzed.
+    With ``block=True`` the indices of verifier-flagged OFFER/ACK events
+    are reported so replay tooling can treat them as never delivered.
     """
-    if pipeline.policy is None:
-        raise PolicyMissing("no policy installed")
+    window = pipeline.policy.anomaly.window
+    if not 0 <= duration <= MAX_DURATION:  # NaN included
+        raise ValueError(f"duration must be in [0, {MAX_DURATION:g}], got {duration}")
+    if duration / window > MAX_WINDOWS:
+        raise ValueError(f"anomaly.window must be >= {duration / MAX_WINDOWS:g} s for a "
+                         f"{duration:g} s trace ({MAX_WINDOWS} windows), got {window:g}")
     db = pipeline.policy.signatures
     nodes = pipeline.nodes
     benign = AttackClass.NONE
+    last_second = math.ceil(duration)
 
     alerts: list[Alert] = []
     blocked: list[int] = []
@@ -413,8 +399,15 @@ def run_detection(
     # tally is derived from it, and enum members become strings, at the end.
     # The route is None for background events.
     tally: Counter = Counter()
-    attack_marks: list[tuple[float, bool]] = []  # (time, captured) per attack event
+    # Cumulative (second, generated, captured) attack counts.  An attack
+    # event counts toward the first row not yet written whose second is at
+    # or after its time; one older than the rows written so far counts
+    # toward the next row.
+    capture_series: list[tuple[float, int, int]] = []
+    second = 1
+    cum_gen = cum_cap = 0
 
+    index = -1  # stays -1 on an empty trace
     for index, event in enumerate(events):
         view = make_view(event, index, nodes)
         alert = pipeline.process_view(view)
@@ -430,7 +423,13 @@ def run_detection(
             # Route split: an attack whose payload any loaded signature can
             # match is "signature-based"; the rest are "anomaly-based".
             tally[cls, hit, db.matches_any(view.pattern)] += 1
-            attack_marks.append((event.time, hit))
+            while second < event.time and second <= last_second:
+                capture_series.append((float(second), cum_gen, cum_cap))
+                second += 1
+            cum_gen += 1
+            cum_cap += hit
+    analyzed = index + 1
+    capture_series.extend((float(s), cum_gen, cum_cap) for s in range(second, last_second + 1))
 
     counters = ConfusionCounters()
     generated: Counter = Counter()
@@ -455,25 +454,7 @@ def run_detection(
     taa = sum(route_anom.values())
     msa = tsa - sum(caught_sig.values())
     maa = taa - sum(caught_anom.values())
-
-    horizon = duration
-    if horizon is None:
-        horizon = events[-1].time if events else 0.0
-    capture_series: list[tuple[float, int, int]] = []
-    cum_gen = cum_cap = 0
-    mark_iter = iter(attack_marks + [(math.inf, False)])
-    mark_time, mark_hit = next(mark_iter)
-    for second in range(1, int(math.ceil(horizon)) + 1):
-        while mark_time <= second:
-            cum_gen += 1
-            if mark_hit:
-                cum_cap += 1
-            mark_time, mark_hit = next(mark_iter)
-        capture_series.append((float(second), cum_gen, cum_cap))
-
-    tracker = pipeline.window_tracker
-    window_counters = tracker.counters if tracker else ConfusionCounters()
-    st_series = list(tracker.st_series) if tracker else []
+    window_counters = pipeline.window_tracker.counters
 
     def ordered(counter: Counter) -> dict[str, int]:
         out = {c.value: counter.get(c, 0) for c in _ATTACK_CLASS_ORDER}
@@ -482,8 +463,8 @@ def run_detection(
     return DetectionResult(
         alerts=alerts,
         counters=counters,
-        received=len(events) + malformed,
-        analyzed=len(events),
+        received=analyzed + malformed,
+        analyzed=analyzed,
         generated=ordered(generated),
         captured=ordered(captured),
         generated_signature=ordered(route_sig),
@@ -497,7 +478,7 @@ def run_detection(
         alerts_by_layer=dict(sorted(alerts_by_layer.items())),
         blocked=blocked,
         window_counters=window_counters,
-        st_series=st_series,
+        st_series=list(pipeline.window_tracker.st_series),
         st_overall=sign_of_attack(window_counters.tn, window_counters.fn),
         capture_series=capture_series,
     )

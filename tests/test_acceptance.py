@@ -198,7 +198,7 @@ def test_criterion_7_oracle_equivalence_on_random_traces():
         for _ in range(100):
             events = _random_trace(rng)
             pipe = Pipeline(_policy(registry))
-            result = run_detection(events, pipe)
+            result = run_detection(events, pipe, duration=events[-1].time)
 
             # independent tally straight from the alert log and the trace
             alerted = {alert.evidence[0] for alert in result.alerts}

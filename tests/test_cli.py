@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 from dhcpguard.cli import EXIT_HIGH_ALERT, EXIT_OK, EXIT_USAGE, main
-from dhcpguard.netsim import MAX_DURATION, ScenarioKind
+from dhcpguard.netsim import MAX_DURATION, MAX_EVENTS, ScenarioKind
 from dhcpguard.pipeline import REGISTRY_SCHEMA, read_alerts
 
 
@@ -107,6 +107,22 @@ def test_simulate_rejects_durations_beyond_the_maximum(tmp_path, capsys, value):
         _assert_simulate_rejects(tmp_path, capsys, "mixed", "--duration", value, "duration")
 
 
+@pytest.mark.parametrize("scenario, flag, value, field", [
+    ("dos-syn", "--rate-background", "inf", "rate for none"),
+    ("dos-syn", "--rate", "nan", "rate for dos"),
+    ("dos-syn", "--rate", "-1", "rate for dos"),
+    # 1e300 events would be drawn and sorted before the first one is emitted
+    ("dos-syn", "--rate", "1e300", "rate for dos"),
+    ("dos-syn", "--rate", str(MAX_EVENTS / 10 * 1.01), "rate for dos"),
+    ("starvation", "--spoofed-macs", str(MAX_EVENTS + 1), "spoofed_macs"),
+    ("mixed", "--clients", str(MAX_EVENTS + 1), "clients"),
+])
+def test_simulate_rejects_runs_beyond_the_event_bound(tmp_path, capsys, scenario, flag, value,
+                                                      field):
+    with deadline(10):
+        _assert_simulate_rejects(tmp_path, capsys, scenario, flag, value, field)
+
+
 def _assert_simulate_rejects(tmp_path, capsys, scenario, flag, value, field):
     trace = tmp_path / "t.jsonl"
     rc = run_cli("simulate", "--scenario", scenario, "--seed", "1",
@@ -203,6 +219,20 @@ def test_detect_rejects_nan_thresholds(tmp_path, capsys, flag, field):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert field in captured.err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_detect_rejects_more_anomaly_windows_than_the_bound(tmp_path, capsys):
+    trace, reg = _simulate(tmp_path, scenario="dos-syn", seed=1, duration=20, clients=4)
+    capsys.readouterr()
+    with deadline(10):
+        rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                     "--anomaly-window", "1e-4",
+                     "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(tmp_path / "c.json"))
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "anomaly.window" in captured.err
     assert not (tmp_path / "c.json").exists()
 
 

@@ -467,6 +467,18 @@ def test_server_release_frees_lease():
     assert server.step(DhcpMessage(MsgType.DISCOVER, 3, MacAddr.from_int(6)), 1.0) is not None
 
 
+def test_server_forgets_each_offer_once_it_is_answered():
+    server = _server()
+    for cycle in range(30):
+        mac = MacAddr.from_int(cycle % 5)
+        offer = server.step(DhcpMessage(MsgType.DISCOVER, cycle, mac), now=float(cycle))
+        asked = offer.your_ip if cycle % 3 else parse_ipv4("10.0.9.9")
+        reply = server.step(DhcpMessage(MsgType.REQUEST, cycle, mac, your_ip=asked,
+                                        server_id=offer.server_id), now=cycle + 0.5)
+        assert reply.msg_type is (MsgType.ACK if cycle % 3 else MsgType.NAK)
+    assert server._offered == {}
+
+
 def test_dora_liveness():
     # one client + one server with a free pool completes all four messages
     server = _server()

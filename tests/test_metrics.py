@@ -105,7 +105,7 @@ def test_report_on_empty_trace_has_null_percentages():
     registry = DhcpRegistry.from_records(legit_server_records(trace.topology))
     pipe = Pipeline(Policy(version=1, registry=registry,
                            signatures=load_signatures(sample_signatures_path())))
-    result = run_detection([], pipe)
+    result = run_detection([], pipe, duration=trace.duration)
     report = build_report(result, "empty")
     assert report.received == report.analyzed == 0
     assert report.tga == 0

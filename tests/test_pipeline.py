@@ -1,13 +1,17 @@
+import dataclasses
+import math
+import random
 from collections import Counter
 
 import pytest
 
 from dhcpguard.alerts import AlertClass, Layer, Severity, layer_of_sign
-from dhcpguard.anomaly import DISTINCT_SOURCES, MEAN_SIZE, RATE, AnomalyConfig
+from dhcpguard.anomaly import DISTINCT_SOURCES, MAX_WINDOWS, MEAN_SIZE, RATE, AnomalyConfig
 from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, format_ipv4, parse_ipv4
 from dhcpguard.netsim import (
     ATTACKER_IP,
     BROADCAST,
+    MAX_DURATION,
     AttackClass,
     DhcpPayload,
     GenericPayload,
@@ -28,8 +32,8 @@ from dhcpguard.pipeline import (
     DhcpRegistry,
     NotAnOffer,
     Pipeline,
+    PipelineError,
     Policy,
-    PolicyMissing,
     StaleVersion,
     VerifyResult,
     fingerprint,
@@ -139,7 +143,7 @@ def test_registry_text_round_trips_through_ints():
             assert format_ipv4(parse_ipv4(rec[key])) == rec[key]
     registry = DhcpRegistry.from_records(records)
     assert list(registry.entries) == [LEGIT_SERVER_IP]
-    assert registry.entries[LEGIT_SERVER_IP].fingerprint == fingerprint(
+    assert registry.entries[LEGIT_SERVER_IP] == fingerprint(
         LEGIT_SERVER_IP, ROUTER_IP, ROUTER_IP)
 
 
@@ -236,12 +240,6 @@ def test_verifier_caught_ack_still_answers_its_request():
     assert ack_alert is not None and ack_alert.layer is Layer.VERIFIER
     late = _event(GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"later"), time=10.0)
     assert pipe.process_event(late, 2) is None
-
-
-def test_process_event_requires_policy():
-    pipe = Pipeline()
-    with pytest.raises(PolicyMissing):
-        pipe.process_event(_event(DhcpPayload.from_message(_offer())))
 
 
 # -- what each window sees ------------------------------------------------------------
@@ -398,6 +396,22 @@ def test_stale_policy_version_rejected():
         pipe.update_policy(_policy(version=5))
 
 
+def test_policy_update_refuses_a_new_anomaly_config():
+    pipe = Pipeline(_policy(version=1))
+    with pytest.raises(PipelineError, match="anomaly"):
+        pipe.update_policy(dataclasses.replace(_policy(version=2), anomaly=AnomalyConfig(k=1000.0)))
+    assert pipe.policy.version == 1
+    assert pipe.window_tracker.config == AnomalyConfig()
+
+
+def test_policy_update_keeps_an_equal_anomaly_config():
+    pipe = Pipeline(dataclasses.replace(_policy(version=1), anomaly=AnomalyConfig(k=5.0)))
+    tracker = pipe.window_tracker
+    pipe.update_policy(dataclasses.replace(_policy(version=2), anomaly=AnomalyConfig(k=5.0)))
+    assert pipe.policy.version == 2
+    assert pipe.window_tracker is tracker
+
+
 def test_policy_bump_with_identical_content_is_idempotent():
     events = [
         _event(DhcpPayload.from_message(_offer()), time=0.1),
@@ -521,3 +535,59 @@ def test_capture_series_is_cumulative_and_bounded():
         assert t1 > t0 and g1 >= g0 and c1 >= c0
         assert c1 <= g1
     assert series[-1][1] == result.tga
+
+
+def _detect(trace, events, registry):
+    pipe = Pipeline(_policy(registry=registry), {n.id: n for n in trace.topology})
+    return run_detection(events, pipe, duration=trace.duration)
+
+
+def test_one_pass_detection_properties_over_random_scenarios():
+    rng = random.Random(6)
+    kinds = list(ScenarioKind)
+    for case in range(10):
+        kind = kinds[case % len(kinds)]
+        duration = round(rng.uniform(5.0, 25.0), 2)  # mostly not a whole second
+        trace = run_scenario(default_scenario(kind, seed=rng.randrange(1000), duration=duration))
+        registry = DhcpRegistry.from_records(legit_server_records(trace.topology))
+        result = _detect(trace, trace.events, registry)
+        assert _detect(trace, (event for event in trace.events), registry) == result, kind
+
+        c = result.counters
+        assert c.tp + c.fp + c.tn + c.fn == result.analyzed == len(trace.events)
+        assert result.received == result.analyzed
+        series = result.capture_series
+        assert len(series) == math.ceil(duration)
+        assert [row[0] for row in series] == [float(s) for s in range(1, len(series) + 1)]
+        for (_, g0, c0), (_, g1, c1) in zip(series, series[1:]):
+            assert g1 >= g0 and c1 >= c0
+        assert all(captured <= generated for _, generated, captured in series)
+        assert series[-1][1] == result.tga
+
+
+def test_capture_series_with_out_of_order_attack_times():
+    rogue = DhcpPayload.from_message(_offer(server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP))
+    quiet = GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"nothing")
+    spec = [(0.5, rogue, AttackClass.ROGUE_DHCP), (2.7, quiet, AttackClass.DOS),
+            (1.2, rogue, AttackClass.ROGUE_DHCP), (1.9, quiet, AttackClass.NONE),
+            (4.0, quiet, AttackClass.DOS), (3.1, rogue, AttackClass.ROGUE_DHCP),
+            (0.2, quiet, AttackClass.DOS), (5.0, rogue, AttackClass.ROGUE_DHCP),
+            (5.9, quiet, AttackClass.PROBE), (5.2, rogue, AttackClass.ROGUE_DHCP)]
+    events = [_event(payload, time, truth=truth) for time, payload, truth in spec]
+    result = run_detection(iter(events), Pipeline(_policy(signatures=SignatureDb([]))),
+                           duration=6.0)
+    assert [alert.evidence for alert in result.alerts] == [(0,), (2,), (5,), (7,), (9,)]
+    # An event counts toward the first unwritten row at or after its time, so
+    # 1.2 lands in second 3 (behind 2.7) and 0.2 in second 4 (behind 4.0).
+    assert result.capture_series == [
+        (1.0, 1, 1), (2.0, 1, 1), (3.0, 3, 2), (4.0, 6, 3), (5.0, 7, 4), (6.0, 9, 5)]
+
+
+def test_run_detection_bounds_the_windows_and_the_duration():
+    pipe = Pipeline(dataclasses.replace(_policy(), anomaly=AnomalyConfig(window=1e-3)))
+    assert len(run_detection([], pipe, duration=MAX_WINDOWS * 1e-3).capture_series) == 100
+    with pytest.raises(ValueError, match="anomaly.window"):
+        run_detection([], pipe, duration=MAX_WINDOWS * 1e-3 * 1.01)
+    for duration in (-1.0, MAX_DURATION * 1.01, math.nan):
+        with pytest.raises(ValueError, match="duration"):
+            run_detection([], Pipeline(_policy()), duration=duration)
