@@ -40,6 +40,13 @@ from .netsim import AttackClass, GenericPayload, SimEvent
 MAX_WINDOWS = 10**5
 
 
+def check_window_count(duration: float, window: float) -> None:
+    """Refuse an anomaly ``window`` that would close over MAX_WINDOWS windows in ``duration``."""
+    if duration / window > MAX_WINDOWS:
+        raise ValueError(f"anomaly.window must be >= {duration / MAX_WINDOWS:g} s for a "
+                         f"{duration:g} s trace ({MAX_WINDOWS} windows), got {window:g}")
+
+
 class ColdStart(Exception):
     """Raised when no metric has seen enough samples to judge."""
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
 from . import __version__
-from .anomaly import AnomalyConfig
+from .anomaly import AnomalyConfig, check_window_count
 from .metrics import (
     build_report,
     load_counters,
@@ -37,6 +37,7 @@ from .netsim import (
     legit_server_records,
     load_topology,
     read_trace,
+    read_trace_header,
     run_scenario,
     write_trace,
 )
@@ -247,6 +248,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         anomaly=_anomaly_config(opts),
     )
 
+    # A too-fine anomaly window is refused before a single event is parsed.
+    check_window_count(read_trace_header(trace_path).duration, policy.anomaly.window)
     trace, malformed = read_trace(trace_path)
     topology_path = opts.get("topology", None, str)
     if topology_path is not None:

@@ -205,7 +205,14 @@ class Scenario:
             raise InvalidScenario(
                 f"duration must be in (0, {MAX_DURATION:g}], got {self.duration}")
         for cls, rate in self.rates.items():
-            if not 0 <= rate * self.duration <= MAX_EVENTS:  # NaN and inf included
+            # The rogue only reacts to clients and the starvation flood's size
+            # is spoofed_macs: these two rates set no event count.
+            if cls is AttackClass.ROGUE_DHCP or (
+                    cls is AttackClass.DOS and self.kind is ScenarioKind.STARVATION):
+                if not 0 <= rate < math.inf:  # NaN included
+                    raise InvalidScenario(
+                        f"rate for {cls.value} must be finite and >= 0, got {rate}")
+            elif not 0 <= rate * self.duration <= MAX_EVENTS:  # NaN and inf included
                 raise InvalidScenario(
                     f"rate for {cls.value} must be in [0, {MAX_EVENTS / self.duration:g}] "
                     f"events/s over {self.duration:g} s, got {rate}")
@@ -772,6 +779,35 @@ def _nodes_from_json(nodes) -> list[NodeSpec]:
     return topology
 
 
+def _read_header(fh, path: Union[str, Path]) -> Trace:
+    """The trace of the header on ``fh``'s first line, with no events yet."""
+    header_line = fh.readline()
+    if not header_line:
+        raise ValueError(f"{path}: empty trace file")
+    header = json.loads(header_line)
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: trace header must be a JSON object")
+    if header.get("schema") != TRACE_SCHEMA:
+        raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
+    try:
+        kind = ScenarioKind(header["kind"])
+        seed = int(header["seed"])
+        duration = float(header["duration"])
+        topology = _nodes_from_json(header.get("topology", []))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad trace header: {_input_error(exc)}") from None
+    if not 0 < duration <= MAX_DURATION:  # NaN included
+        raise ValueError(
+            f"{path}: duration must be in (0, {MAX_DURATION:g}], got {duration}")
+    return Trace(kind=kind, seed=seed, duration=duration, topology=topology, events=[])
+
+
+def read_trace_header(path: Union[str, Path]) -> Trace:
+    """A trace file's header alone, as a trace with no events; one line is read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read_header(fh, path)
+
+
 def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
     """Load a trace file.
 
@@ -781,27 +817,11 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
     received-but-not-analyzed input.  A bad header is a :class:`ValueError`
     naming the file.
     """
-    events: list[SimEvent] = []
     malformed: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty trace file")
-        header = json.loads(header_line)
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: trace header must be a JSON object")
-        if header.get("schema") != TRACE_SCHEMA:
-            raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
-        try:
-            kind = ScenarioKind(header["kind"])
-            seed = int(header["seed"])
-            duration = float(header["duration"])
-            topology = _nodes_from_json(header.get("topology", []))
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad trace header: {_input_error(exc)}") from None
-        if not 0 < duration <= MAX_DURATION:  # NaN included
-            raise ValueError(
-                f"{path}: duration must be in (0, {MAX_DURATION:g}], got {duration}")
+        trace = _read_header(fh, path)
+        duration = trace.duration
+        events = trace.events
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -813,7 +833,6 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
                 malformed.append((lineno, _input_error(exc)))
             else:
                 events.append(event)
-    trace = Trace(kind=kind, seed=seed, duration=duration, topology=topology, events=events)
     return trace, malformed
 
 

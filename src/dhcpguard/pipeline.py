@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Union
 from .alerts import Alert, AlertClass, Layer, Severity
 from .anomaly import (
     DISTINCT_SOURCES,
-    MAX_WINDOWS,
     MEAN_SIZE,
     RATE,
     AnomalyConfig,
@@ -32,11 +31,12 @@ from .anomaly import (
     SignOfAttack,
     TrailingWindow,
     WindowTracker,
+    check_window_count,
     classify,
     sign_of_attack,
 )
 from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType, format_ipv4, parse_ipv4
-from .netsim import MAX_DURATION, AttackClass, NodeSpec, SimEvent
+from .netsim import MAX_DURATION, AttackClass, GenericPayload, NodeSpec, SimEvent
 from .signatures import (
     EventView,
     Ingredient,
@@ -231,14 +231,12 @@ class Pipeline:
     # -- layers --------------------------------------------------------
 
     def _verifier_layer(self, view: EventView, policy: Policy) -> Optional[Alert]:
-        if not view.is_dhcp or view.msg_type not in (MsgType.OFFER, MsgType.ACK):
-            return None
-        msg = view.event.payload.message
-        if msg is None:
+        msg = view.message
+        if msg is None or msg.msg_type not in (MsgType.OFFER, MsgType.ACK):
             return None
         if verify_dhcp_offer(msg, policy.registry) is VerifyResult.ROGUE:
             return Alert(
-                time=view.time,
+                time=view.event.time,
                 layer=Layer.VERIFIER,
                 attack_class=AlertClass.ROGUE_DHCP,
                 severity=Severity.HIGH,
@@ -252,7 +250,7 @@ class Pipeline:
         sig = match_signature(policy.signatures, view)
         if sig is not None:
             return Alert(
-                time=view.time,
+                time=view.event.time,
                 layer=Layer.SIGNATURE,
                 attack_class=sig.attack_class,
                 severity=sig.severity,
@@ -262,7 +260,7 @@ class Pipeline:
         if violations:
             first = violations[0]
             return Alert(
-                time=view.time,
+                time=view.event.time,
                 layer=Layer.SIGNATURE,
                 attack_class=first.attack_class,
                 severity=first.severity,
@@ -272,10 +270,12 @@ class Pipeline:
         return None
 
     def _anomaly_layer(self, view: EventView, policy: Policy) -> Optional[Alert]:
-        self.window_tracker.add_event(view.event)
-        if view.is_dhcp:
+        event = view.event
+        self.window_tracker.add_event(event)
+        if not isinstance(event.payload, GenericPayload):
             return None
-        metrics = self._trailing.add(view.time, view.size_bytes, view.src, policy.anomaly.window)
+        metrics = self._trailing.add(event.time, event.payload.size_bytes, event.src,
+                                     policy.anomaly.window)
         try:
             exceeded = self.window_tracker.baseline.exceeded(metrics)
         except ColdStart:
@@ -284,7 +284,7 @@ class Pipeline:
             if metric in exceeded:
                 attack_class, sign = _ANOMALY_METRIC_CLASS[metric]
                 return Alert(
-                    time=view.time,
+                    time=view.event.time,
                     layer=Layer.ANOMALY,
                     attack_class=attack_class,
                     severity=Severity.MEDIUM,
@@ -382,12 +382,9 @@ def run_detection(
     With ``block=True`` the indices of verifier-flagged OFFER/ACK events
     are reported so replay tooling can treat them as never delivered.
     """
-    window = pipeline.policy.anomaly.window
     if not 0 <= duration <= MAX_DURATION:  # NaN included
         raise ValueError(f"duration must be in [0, {MAX_DURATION:g}], got {duration}")
-    if duration / window > MAX_WINDOWS:
-        raise ValueError(f"anomaly.window must be >= {duration / MAX_WINDOWS:g} s for a "
-                         f"{duration:g} s trace ({MAX_WINDOWS} windows), got {window:g}")
+    check_window_count(duration, pipeline.policy.anomaly.window)
     db = pipeline.policy.signatures
     nodes = pipeline.nodes
     benign = AttackClass.NONE

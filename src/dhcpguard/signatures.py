@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .alerts import AlertClass, Severity
-from .dhcp import BadChecksum, MsgType
+from .dhcp import BadChecksum, DhcpMessage, MsgType
 from .netsim import BROADCAST, DhcpPayload, NodeSpec, Role, SimEvent
 
 
@@ -150,67 +150,36 @@ def sample_signatures_path() -> Path:
 
 @dataclass(frozen=True)
 class EventView:
-    """One trace event prepared for the detection layers."""
+    """What the detection layers need of one event beyond the event itself.
+
+    ``message`` is ``None`` for generic traffic and for undecodable frames.
+    """
 
     index: int
     event: SimEvent
     pattern: bytes
-    size_bytes: int
-    is_dhcp: bool
-    msg_type: Optional[MsgType]
-    checksum_ok: bool
-    xid: Optional[int]
+    message: Optional[DhcpMessage]
+    tampered: bool
     direction: Optional[Direction]
-
-    @property
-    def time(self) -> float:
-        return self.event.time
-
-    @property
-    def src(self) -> int:
-        return self.event.src
-
-    @property
-    def dst(self) -> int:
-        return self.event.dst
 
 
 def make_view(event: SimEvent, index: int, nodes: Optional[dict[int, NodeSpec]] = None) -> EventView:
-    if isinstance(event.payload, DhcpPayload):
-        msg = event.payload.message
-        msg_type = msg.msg_type if msg is not None else None
-        if msg_type in (MsgType.DISCOVER, MsgType.REQUEST, MsgType.RELEASE):
-            direction: Optional[Direction] = Direction.INBOUND
-        elif msg_type is not None:
-            direction = Direction.OUTBOUND
+    payload = event.payload
+    if isinstance(payload, DhcpPayload):
+        msg = payload.message
+        if msg is None:
+            direction: Optional[Direction] = None
+        elif msg.msg_type in (MsgType.DISCOVER, MsgType.REQUEST, MsgType.RELEASE):
+            direction = Direction.INBOUND
         else:
-            direction = None
-        return EventView(
-            index=index,
-            event=event,
-            pattern=event.payload.raw,
-            size_bytes=len(event.payload.raw),
-            is_dhcp=True,
-            msg_type=msg_type,
-            checksum_ok=event.payload.error != BadChecksum.reason,
-            xid=msg.xid if msg is not None else None,
-            direction=direction,
-        )
+            direction = Direction.OUTBOUND
+        return EventView(index, event, payload.raw, msg,
+                         payload.error == BadChecksum.reason, direction)
     if nodes is not None and event.dst in nodes:
         direction = Direction.INBOUND if nodes[event.dst].role is Role.CLIENT else Direction.OUTBOUND
     else:
         direction = None
-    return EventView(
-        index=index,
-        event=event,
-        pattern=event.payload.payload_pattern,
-        size_bytes=event.payload.size_bytes,
-        is_dhcp=False,
-        msg_type=None,
-        checksum_ok=True,
-        xid=None,
-        direction=direction,
-    )
+    return EventView(index, event, payload.payload_pattern, None, False, direction)
 
 
 def _direction_compatible(sig: Direction, event_dir: Optional[Direction]) -> bool:
@@ -284,7 +253,7 @@ class SlidingWindow:
     """Recent-traffic state feeding the parameterized checks.
 
     Holds only events newer than ``now - window``, with ``window`` passed
-    to :meth:`prune` from the policy in force; per-source counts and
+    to :meth:`add` from the policy in force; per-source counts and
     identical-payload counts are maintained incrementally.  ``nodes``
     supplies positions for the radio-range check and may be ``None``; it
     must not change afterwards, because range verdicts are cached per
@@ -306,37 +275,32 @@ class SlidingWindow:
         self._seq = 0
         self._range_verdicts: dict[tuple[int, int], Optional[Violation]] = {}
 
-    def prune(self, now: float, window: float) -> None:
-        cutoff = now - window
-        while self._events and self._events[0][0] <= cutoff:
-            _, src, pattern = self._events.popleft()
-            self._src_counts[src] -= 1
-            if self._src_counts[src] <= 0:
-                del self._src_counts[src]
-            self._pattern_counts[pattern] -= 1
-            if self._pattern_counts[pattern] <= 0:
-                del self._pattern_counts[pattern]
+    def add(self, time: float, src: int, pattern: bytes, window: float) -> tuple[int, int, int]:
+        """Drop events at or before ``time - window``, then record this one.
 
-    def observe(self, view: EventView) -> None:
-        event = view.event
-        self._events.append((event.time, event.src, view.pattern))
-        self._src_counts[event.src] += 1
-        self._pattern_counts[view.pattern] += 1
+        Returns the events in the window, those from ``src`` and the
+        copies of ``pattern``, this event included.
+        """
+        events, src_counts, pattern_counts = self._events, self._src_counts, self._pattern_counts
+        cutoff = time - window
+        while events and events[0][0] <= cutoff:
+            _, old_src, old_pattern = events.popleft()
+            src_counts[old_src] -= 1
+            if src_counts[old_src] <= 0:
+                del src_counts[old_src]
+            pattern_counts[old_pattern] -= 1
+            if pattern_counts[old_pattern] <= 0:
+                del pattern_counts[old_pattern]
+        events.append((time, src, pattern))
+        src_counts[src] += 1
+        pattern_counts[pattern] += 1
+        return len(events), src_counts[src], pattern_counts[pattern]
 
-    def total(self) -> int:
-        return len(self._events)
-
-    def src_count(self, src: int) -> int:
-        return self._src_counts.get(src, 0)
-
-    def pattern_count(self, pattern: bytes) -> int:
-        return self._pattern_counts.get(pattern, 0)
-
-    def last_seen(self, src: int) -> Optional[float]:
-        return self._last_seen.get(src)
-
-    def mark_seen(self, src: int, now: float) -> None:
+    def note_seen(self, src: int, now: float) -> Optional[float]:
+        """Record that ``src`` was seen at ``now``; returns when it was seen before."""
+        last = self._last_seen.get(src)
         self._last_seen[src] = now
+        return last
 
     def pop_expired_expectations(self, now: float) -> list[tuple[int, int]]:
         """``(xid, index)`` of pending REQUESTs whose deadline is before ``now``.
@@ -402,42 +366,33 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
     event = view.event
     now = event.time
     src = event.src
-    w.prune(now, cfg.window)
-
     expired = w.pop_expired_expectations(now)
-
-    gap_violation = None
-    last = w.last_seen(src)
-    if last is not None and now - last > cfg.max_gap:
-        gap_violation = _violation(
-            Ingredient.TIME_INTERVAL,
-            AlertClass.NEGLIGENCE,
-            f"source {src} silent for {now - last:.3f}s (max_gap {cfg.max_gap}s)",
-        )
-    w.mark_seen(src, now)
-    w.observe(view)
+    last = w.note_seen(src, now)
+    total, count, repeats = w.add(now, src, view.pattern, cfg.window)
 
     violations: list[Violation] = []
 
     # a. validity
-    if view.is_dhcp and not view.checksum_ok:
+    if view.tampered:
         violations.append(_violation(Ingredient.VALIDITY, AlertClass.TAMPER,
                                      "DHCP frame failed its checksum"))
 
     # b. time interval: exhaustion then negligence
     allowed = cfg.max_rate * cfg.window
-    count = w.src_count(src)
     if count > allowed:
         violations.append(_violation(
             Ingredient.TIME_INTERVAL,
             AlertClass.EXHAUSTION,
             f"source {src} sent {count} events in {cfg.window}s (limit {allowed:.0f})",
         ))
-    if gap_violation is not None:
-        violations.append(gap_violation)
+    if last is not None and now - last > cfg.max_gap:
+        violations.append(_violation(
+            Ingredient.TIME_INTERVAL,
+            AlertClass.NEGLIGENCE,
+            f"source {src} silent for {now - last:.3f}s (max_gap {cfg.max_gap}s)",
+        ))
 
     # c. flooding
-    total = w.total()
     if total > cfg.flood_threshold:
         violations.append(_violation(
             Ingredient.FLOODING,
@@ -463,7 +418,6 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
             violations.append(out_of_range)
 
     # f. pattern replication
-    repeats = w.pattern_count(view.pattern)
     if repeats > cfg.replication_limit:
         violations.append(_violation(
             Ingredient.PATTERN_REPLICATION,
@@ -472,11 +426,13 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
             f"(limit {cfg.replication_limit})",
         ))
 
-    # retransmission bookkeeping for the current event
-    if view.is_dhcp and view.checksum_ok and view.xid is not None:
-        if view.msg_type is MsgType.REQUEST:
-            w.note_request(view.xid, now, cfg.retransmit_timeout, view.index)
-        elif view.msg_type in (MsgType.ACK, MsgType.NAK):
-            w.note_answer(view.xid)
+    # retransmission bookkeeping for the current event; a frame that did
+    # not decode, tampered or not, carries no message to book
+    msg = view.message
+    if msg is not None:
+        if msg.msg_type is MsgType.REQUEST:
+            w.note_request(msg.xid, now, cfg.retransmit_timeout, view.index)
+        elif msg.msg_type in (MsgType.ACK, MsgType.NAK):
+            w.note_answer(msg.xid)
 
     return violations

@@ -114,6 +114,10 @@ def test_simulate_rejects_durations_beyond_the_maximum(tmp_path, capsys, value):
     # 1e300 events would be drawn and sorted before the first one is emitted
     ("dos-syn", "--rate", "1e300", "rate for dos"),
     ("dos-syn", "--rate", str(MAX_EVENTS / 10 * 1.01), "rate for dos"),
+    # the starvation flood's speed sets no event count, but must be a number >= 0
+    ("starvation", "--rate", "nan", "rate for dos"),
+    ("starvation", "--rate", "inf", "rate for dos"),
+    ("starvation", "--rate", "-1", "rate for dos"),
     ("starvation", "--spoofed-macs", str(MAX_EVENTS + 1), "spoofed_macs"),
     ("mixed", "--clients", str(MAX_EVENTS + 1), "clients"),
 ])
@@ -121,6 +125,22 @@ def test_simulate_rejects_runs_beyond_the_event_bound(tmp_path, capsys, scenario
                                                       field):
     with deadline(10):
         _assert_simulate_rejects(tmp_path, capsys, scenario, flag, value, field)
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    # The flood's size is spoofed_macs; its rate is only its speed.
+    ("starvation", ()),
+    # The rogue only reacts to clients; a positive rate switches it on.
+    ("rogue-race", ("--rate-rogue", "1000")),
+])
+def test_simulate_accepts_rates_that_set_no_event_count(tmp_path, capsys, scenario, extra):
+    trace = tmp_path / "t.jsonl"
+    with deadline(20):
+        rc = run_cli("simulate", "--scenario", scenario, "--seed", "1", "--duration", "90000",
+                     *extra, "--out", str(trace))
+    assert rc == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    assert trace.exists()
 
 
 def _assert_simulate_rejects(tmp_path, capsys, scenario, flag, value, field):
@@ -222,9 +242,15 @@ def test_detect_rejects_nan_thresholds(tmp_path, capsys, flag, field):
     assert not (tmp_path / "c.json").exists()
 
 
-def test_detect_rejects_more_anomaly_windows_than_the_bound(tmp_path, capsys):
+def test_detect_rejects_more_anomaly_windows_than_the_bound(tmp_path, capsys, monkeypatch):
     trace, reg = _simulate(tmp_path, scenario="dos-syn", seed=1, duration=20, clients=4)
     capsys.readouterr()
+
+    def parse(data):
+        raise AssertionError("an event was parsed before the window check")
+
+    # The check needs only the header's duration, so it comes before the events.
+    monkeypatch.setattr("dhcpguard.netsim.event_from_json", parse)
     with deadline(10):
         rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
                      "--anomaly-window", "1e-4",

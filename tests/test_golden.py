@@ -32,6 +32,16 @@ CASES = {
             "counters": "a82454e07cf4efb5e96f74c008f861809b6fe64626a9279d947f0f7944a834e7",
         },
     ),
+    # Tampered frames (validity alerts) and flows relayed through the rogue.
+    "masquerade-2-tamper": (
+        ("--scenario", "masquerade", "--seed", "2", "--tamper"),
+        (),
+        {
+            "trace": "e5d3b2fe338ee747486c407633d9bced0e0d78181829a7633bd310195b15c422",
+            "alerts": "1c33a5c665fcd345c3bb4b5760cf9ad997385a958dcd464c010acb03e6fed3a7",
+            "counters": "ce71eba204489c2738585e3ec1d6d94446373e8801b535ba2a5459906a318c88",
+        },
+    ),
     "starvation-5-pool-200": (
         ("--scenario", "starvation", "--seed", "5", "--pool-size", "200"),
         (),

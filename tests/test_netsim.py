@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dhcpguard.dhcp import MsgType, format_ipv4
@@ -21,6 +23,7 @@ from dhcpguard.netsim import (
     load_topology,
     node_mac,
     read_trace,
+    read_trace_header,
     replay_client_bindings,
     run_scenario,
     save_topology,
@@ -291,6 +294,7 @@ def test_trace_round_trip(tmp_path):
     assert loaded.events == trace.events
     assert loaded.kind == trace.kind and loaded.seed == trace.seed
     assert [n.id for n in loaded.topology] == [n.id for n in sorted(trace.topology, key=lambda n: n.id)]
+    assert read_trace_header(path) == dataclasses.replace(loaded, events=[])
 
 
 def test_read_trace_counts_malformed_lines(tmp_path):

@@ -7,7 +7,16 @@ import pytest
 
 from dhcpguard.alerts import AlertClass, Layer, Severity, layer_of_sign
 from dhcpguard.anomaly import DISTINCT_SOURCES, MAX_WINDOWS, MEAN_SIZE, RATE, AnomalyConfig
-from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, format_ipv4, parse_ipv4
+from dhcpguard.dhcp import (
+    BODY_SIZE,
+    DhcpMessage,
+    MacAddr,
+    MsgType,
+    checksum16,
+    encode_message,
+    format_ipv4,
+    parse_ipv4,
+)
 from dhcpguard.netsim import (
     ATTACKER_IP,
     BROADCAST,
@@ -307,6 +316,59 @@ def test_flooding_counts_every_event_in_the_ingredient_window():
     assert signs == [None, None, None, None, "SG-001", "SG-ING-flooding", "SG-ING-flooding"]
     later = pipe.process_event(_generic(12.4, 8, 100, b"later"), 7)
     assert later is None  # (9.9, 12.4] holds only the events at 10.0 and 12.4
+
+
+# -- frames that do not decode ------------------------------------------------------
+
+
+def _reframed_request(reason):
+    """The wire image of a REQUEST, broken so that it fails to decode for ``reason``."""
+    raw = encode_message(DhcpMessage(MsgType.REQUEST, 0x55, MacAddr.from_int(9),
+                                     your_ip=parse_ipv4("10.0.1.1"), server_id=LEGIT))
+    body = bytearray(raw[:BODY_SIZE])
+    if reason == "bad_length":
+        return raw + b"\x00"
+    if reason == "bad_checksum":
+        return raw[:BODY_SIZE] + bytes([raw[BODY_SIZE] ^ 0x01, raw[BODY_SIZE + 1]])
+    body[0] = {"unknown_type": 4, "invalid_field": int(MsgType.DISCOVER)}[reason]
+    return bytes(body) + checksum16(bytes(body)).to_bytes(2, "big")
+
+
+@pytest.mark.parametrize("reason", ["bad_length", "unknown_type", "invalid_field"])
+def test_undecodable_frames_are_neither_tampered_verified_nor_measured(monkeypatch, reason):
+    # A DISCOVER carrying your_ip is an invalid field; type 4 is no message type.
+    def verify(msg, registry):
+        raise AssertionError("an undecodable frame reached the verifier")
+
+    monkeypatch.setattr("dhcpguard.pipeline.verify_dhcp_offer", verify)
+    pipe = Pipeline(_policy())
+    samples = []
+    exceeded = pipe.window_tracker.baseline.exceeded
+
+    def record(metrics):
+        samples.append(metrics)
+        return exceeded(metrics)
+
+    pipe.window_tracker.baseline.exceeded = record
+    payload = DhcpPayload.from_raw(_reframed_request(reason))
+    assert payload.message is None and payload.error == reason
+    assert pipe.process_event(_event(payload, time=0.0, dst=BROADCAST), 0) is None
+    assert pipe.last_consulted == (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
+    assert samples == []  # the anomaly metrics never saw it
+    # No REQUEST was noted, so nothing is overdue long after the timeout,
+    # and the trailing window holds the generic event alone.
+    assert pipe.process_event(_generic(10.0, 7, 300, b"later"), 1) is None
+    assert samples == [{RATE: 1.0, DISTINCT_SOURCES: 1.0, MEAN_SIZE: 300.0}]
+
+
+def test_only_a_bad_checksum_is_tampering():
+    pipe = Pipeline(_policy())
+    payload = DhcpPayload.from_raw(_reframed_request("bad_checksum"))
+    assert payload.message is None and payload.error == "bad_checksum"
+    alert = pipe.process_event(_event(payload, time=0.0, dst=BROADCAST), 0)
+    assert alert is not None and alert.unique_sign == "SG-ING-validity"
+    assert alert.layer is Layer.SIGNATURE
+    assert pipe.process_event(_generic(10.0, 7, 300, b"later"), 1) is None
 
 
 # -- policy updates -----------------------------------------------------------------

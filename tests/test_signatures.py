@@ -371,7 +371,18 @@ def test_stale_events_do_not_influence_verdicts():
     # the window advanced far past the burst: the same traffic is judged fresh
     violations = eval_ingredients(cfg, w, gview(9, 50.0, pattern=b"same"))
     assert violations == []
-    assert w.total() == 1
+    assert w.add(50.0, 1, b"same", cfg.window) == (2, 2, 2)  # only the event at 50.0 remained
+
+
+def test_a_window_below_float_resolution_still_counts_the_event_itself():
+    # At t = 1e5, t - 1e-300 == t: the cutoff drops every earlier event at
+    # the same time, but the event being judged is recorded after the prune.
+    cfg = IngredientConfig(window=1e-300)
+    w = SlidingWindow()
+    for i, t in enumerate([1e5, 1e5, 1e5, 1e5 + 1.0]):
+        violations = eval_ingredients(cfg, w, gview(i, t, pattern=b"p%d" % i))
+        assert _classes(violations) == [AlertClass.EXHAUSTION]
+        assert "sent 1 events" in violations[0].detail
 
 
 def test_evaluation_is_pure():
