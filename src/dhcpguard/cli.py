@@ -3,19 +3,24 @@
 Exit codes: 0 ok, 1 a high-severity alert fired (detect), 2 usage or
 configuration problem, 3 I/O failure.
 
-Options resolve as flags > config file > built-in defaults.  The config
-file is flat ``key = value`` text; ``#`` starts a comment.  Keys mirror
-the long flag names (``seed``, ``duration``, ...) plus the dotted
-families ``rate.<class>``, ``ingredient.<knob>`` and ``anomaly.<knob>``.
+Every option is declared once, to argparse, which gives it its type and
+resolves flags > config file > defaults.  The config file is flat
+``key = value`` text; ``#`` starts a comment.  A key names an option's
+dest, with ``.`` or ``_`` between words: ``seed``, ``pool_size``,
+``rate.dos``, ``ingredient.window``, ``anomaly.k``.  :func:`build_parser`
+makes a file's values the subcommands' defaults, so argparse converts a
+value from the file with the option's own type, exactly as it converts a
+flag.  Unknown keys are ignored.  An option that neither a flag nor the
+file sets is not passed on, so ``Scenario``, ``IngredientConfig`` and
+``AnomalyConfig`` keep the only defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
 from . import __version__
 from .anomaly import AnomalyConfig, check_window_count
@@ -56,8 +61,6 @@ EXIT_HIGH_ALERT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-T = TypeVar("T")
-
 
 class ConfigError(Exception):
     pass
@@ -69,7 +72,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -78,7 +81,11 @@ def load_config_file(path: str) -> dict[str, str]:
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, raw in enumerate(file.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -89,31 +96,23 @@ def load_config_file(path: str) -> dict[str, str]:
     return config
 
 
-class _Options:
-    """Flag > config file > default resolution."""
+def _given(args: argparse.Namespace, prefix: str) -> dict:
+    """The options a flag or the config file set whose dest starts with ``prefix``, unprefixed."""
+    return {dest[len(prefix):]: value for dest, value in vars(args).items()
+            if dest.startswith(prefix) and value is not None}
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = load_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str, default: Optional[T], cast: Callable[[str], T],
-            key: Optional[str] = None) -> Optional[T]:
-        flag = getattr(self.args, name.replace(".", "_"), None)
-        if flag is not None:
-            return flag
-        raw = self.file.get(key or name)
-        if raw is not None:
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad config value for {key or name}: {exc}") from None
-        return default
+def _required(args: argparse.Namespace, dest: str):
+    value = getattr(args, dest)
+    if value is None:
+        raise ConfigError(f"missing required option: --{dest}")
+    return value
 
-    def require(self, name: str, cast: Callable[[str], T], key: Optional[str] = None) -> T:
-        value = self.get(name, None, cast, key)
-        if value is None:
-            raise ConfigError(f"missing required option: --{name.replace('_', '-')}")
-        return value
+
+def _input_file(path: str, what: str) -> str:
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    return path
 
 
 _PRIMARY_CLASS = {
@@ -136,105 +135,48 @@ _RATE_KEYS = {
     "masquerade": AttackClass.MASQUERADE,
 }
 
+# The simulate options that set a Scenario field of the same name.
+_SCENARIO_FIELDS = ("duration", "clients", "pool_size", "spoofed_macs", "attack_start",
+                    "lease_secs", "sig_share", "tamper", "rogue_answers_requests")
 
-def _build_scenario(opts: _Options) -> Scenario:
-    kind = ScenarioKind(opts.require("scenario", str))
-    seed = opts.require("seed", int)  # no wall-clock default: runs must be reproducible
-    duration = opts.get("duration", 60.0, float)
 
-    overrides = {}
-    for name, cast in (
-        ("clients", int),
-        ("pool_size", int),
-        ("spoofed_macs", int),
-        ("attack_start", float),
-        ("lease_secs", int),
-        ("sig_share", float),
-    ):
-        value = opts.get(name, None, cast)
-        if value is not None:
-            overrides[name] = value
-    for name in ("tamper", "rogue_answers_requests"):
-        value = opts.get(name, None, _parse_bool)
-        if value is not None:
-            overrides[name] = value
+def _build_scenario(args: argparse.Namespace) -> Scenario:
+    kind = ScenarioKind(_required(args, "scenario"))
+    seed = _required(args, "seed")  # no wall-clock default: runs must be reproducible
+    overrides = {name: getattr(args, name) for name in _SCENARIO_FIELDS
+                 if getattr(args, name) is not None}
+    scenario = default_scenario(kind, seed, **overrides)
 
-    scenario = default_scenario(kind, seed, duration, **overrides)
-
-    for key, cls in _RATE_KEYS.items():
-        value = opts.get(f"rate_{key}", None, float, key=f"rate.{key}")
-        if value is not None:
-            scenario.rates[cls] = value
-    primary = opts.get("rate", None, float)
-    if primary is not None:
-        scenario.rates[_PRIMARY_CLASS[kind]] = primary
-
-    topology_path = opts.get("topology", None, str)
-    if topology_path is not None:
-        if not Path(topology_path).is_file():
-            raise ConfigError(f"topology file not found: {topology_path}")
-        scenario.topology = load_topology(topology_path)
+    for key, rate in _given(args, "rate_").items():
+        scenario.rates[_RATE_KEYS[key]] = rate
+    if args.rate is not None:
+        scenario.rates[_PRIMARY_CLASS[kind]] = args.rate
+    if args.topology is not None:
+        scenario.topology = load_topology(_input_file(args.topology, "topology"))
     return scenario
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    scenario = _build_scenario(opts)
+    scenario = _build_scenario(args)
     trace = run_scenario(scenario)
 
-    out = opts.get("out", "trace.jsonl", str)
-    write_trace(trace, out)
-    print(f"wrote trace: {out} ({len(trace.events)} events, seed {scenario.seed})")
+    write_trace(trace, args.out)
+    print(f"wrote trace: {args.out} ({len(trace.events)} events, seed {scenario.seed})")
     counts = class_counts(trace.events)
     for cls in sorted(counts, key=lambda c: c.value):
         print(f"  {cls.value}: {counts[cls]}")
 
-    registry_out = opts.get("registry_out", None, str)
-    if registry_out is not None:
-        save_registry_records(legit_server_records(trace.topology), registry_out)
-        print(f"wrote registry: {registry_out}")
+    if args.registry_out is not None:
+        save_registry_records(legit_server_records(trace.topology), args.registry_out)
+        print(f"wrote registry: {args.registry_out}")
     return EXIT_OK
 
 
-def _ingredient_config(opts: _Options) -> IngredientConfig:
-    defaults = IngredientConfig()
-    return IngredientConfig(
-        max_rate=opts.get("max_rate", defaults.max_rate, float, key="ingredient.max_rate"),
-        max_gap=opts.get("max_gap", defaults.max_gap, float, key="ingredient.max_gap"),
-        flood_threshold=opts.get("flood_threshold", defaults.flood_threshold, int,
-                                 key="ingredient.flood_threshold"),
-        retransmit_timeout=opts.get("retransmit_timeout", defaults.retransmit_timeout, float,
-                                    key="ingredient.retransmit_timeout"),
-        replication_limit=opts.get("replication_limit", defaults.replication_limit, int,
-                                   key="ingredient.replication_limit"),
-        window=opts.get("window", defaults.window, float, key="ingredient.window"),
-    )
-
-
-def _anomaly_config(opts: _Options) -> AnomalyConfig:
-    defaults = AnomalyConfig()
-    return AnomalyConfig(
-        alpha=opts.get("alpha", defaults.alpha, float, key="anomaly.alpha"),
-        k=opts.get("k", defaults.k, float, key="anomaly.k"),
-        warmup=opts.get("warmup", defaults.warmup, int, key="anomaly.warmup"),
-        window=opts.get("anomaly_window", defaults.window, float, key="anomaly.window"),
-    )
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    trace_path = opts.require("trace", str)
-    if not Path(trace_path).is_file():
-        raise ConfigError(f"trace file not found: {trace_path}")
-    registry_path = opts.require("registry", str)
-    if not Path(registry_path).is_file():
-        raise ConfigError(f"registry file not found: {registry_path}")
-
-    signatures_path = opts.get("signatures", None, str)
-    if signatures_path is None:
-        signatures_path = str(sample_signatures_path())
-    elif not Path(signatures_path).is_file():
-        raise ConfigError(f"signature file not found: {signatures_path}")
+    trace_path = _input_file(_required(args, "trace"), "trace")
+    registry_path = _input_file(_required(args, "registry"), "registry")
+    signatures_path = (sample_signatures_path() if args.signatures is None
+                       else _input_file(args.signatures, "signature"))
 
     registry = DhcpRegistry.load(registry_path)
     if len(registry) == 0:
@@ -244,35 +186,28 @@ def cmd_detect(args: argparse.Namespace) -> int:
         version=1,
         registry=registry,
         signatures=load_signatures(signatures_path),
-        ingredients=_ingredient_config(opts),
-        anomaly=_anomaly_config(opts),
+        ingredients=IngredientConfig(**_given(args, "ingredient_")),
+        anomaly=AnomalyConfig(**_given(args, "anomaly_")),
     )
 
     # A too-fine anomaly window is refused before a single event is parsed.
     check_window_count(read_trace_header(trace_path).duration, policy.anomaly.window)
     trace, malformed = read_trace(trace_path)
-    topology_path = opts.get("topology", None, str)
-    if topology_path is not None:
-        if not Path(topology_path).is_file():
-            raise ConfigError(f"topology file not found: {topology_path}")
-        nodes = {n.id: n for n in load_topology(topology_path)}
-    else:
-        nodes = {n.id: n for n in trace.topology}
+    if args.topology is not None:
+        trace.topology = load_topology(_input_file(args.topology, "topology"))
 
-    pipe = Pipeline(policy, nodes)
+    pipe = Pipeline(policy, {n.id: n for n in trace.topology})
     result = run_detection(
         trace.events,
         pipe,
         malformed=len(malformed),
-        block=bool(opts.get("block", False, _parse_bool)),
+        block=bool(args.block),
         duration=trace.duration,
     )
 
-    alerts_out = opts.get("alerts", "alerts.jsonl", str)
-    counters_out = opts.get("counters", "counters.json", str)
-    write_alerts(result.alerts, alerts_out)
-    label = opts.get("label", Path(trace_path).stem, str)
-    save_counters(build_report(result, label=label), result, counters_out)
+    write_alerts(result.alerts, args.alerts)
+    label = Path(trace_path).stem if args.label is None else args.label
+    save_counters(build_report(result, label=label), result, args.counters)
 
     layers = " ".join(f"{k}={v}" for k, v in result.alerts_by_layer.items()) or "none"
     print(f"analyzed {result.analyzed}/{result.received} events, "
@@ -283,8 +218,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         print(f"skipped {len(malformed)} malformed lines")
     if result.blocked:
         print(f"blocked {len(result.blocked)} rogue DHCP replies (replay)")
-    print(f"wrote alerts: {alerts_out}")
-    print(f"wrote counters: {counters_out}")
+    print(f"wrote alerts: {args.alerts}")
+    print(f"wrote counters: {args.counters}")
     if result.high_severity:
         print("high-severity alerts present", file=sys.stderr)
         return EXIT_HIGH_ALERT
@@ -295,9 +230,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     reports = []
     series = {}
     for path in args.counters_files:
-        if not Path(path).is_file():
-            raise ConfigError(f"counters file not found: {path}")
-        report, capture_series = load_counters(path)
+        report, capture_series = load_counters(_input_file(path, "counters"))
         reports.append(report)
         series[report.label] = capture_series
 
@@ -315,7 +248,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentParser:
+    """The command-line parser; ``config``'s values become the option defaults."""
     parser = argparse.ArgumentParser(
         prog="dhcpguard",
         description="Simulate LAN attacks around a rogue DHCP server and detect them "
@@ -327,24 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a labeled event trace")
     sim.add_argument("--scenario", choices=[k.value for k in ScenarioKind])
     sim.add_argument("--seed", type=int, help="RNG seed (required; no wall-clock default)")
-    sim.add_argument("--duration", type=float, help="simulated seconds (default 60)")
+    sim.add_argument("--duration", type=float, help="simulated seconds")
     sim.add_argument("--clients", type=int)
-    sim.add_argument("--pool-size", type=int, dest="pool_size")
-    sim.add_argument("--spoofed-macs", type=int, dest="spoofed_macs")
-    sim.add_argument("--attack-start", type=float, dest="attack_start")
-    sim.add_argument("--lease-secs", type=int, dest="lease_secs")
-    sim.add_argument("--sig-share", type=float, dest="sig_share")
-    sim.add_argument("--tamper", action="store_const", const=True)
-    sim.add_argument("--rogue-answers-requests", type=_parse_bool,
-                     dest="rogue_answers_requests", metavar="BOOL")
+    sim.add_argument("--pool-size", type=int)
+    sim.add_argument("--spoofed-macs", type=int)
+    sim.add_argument("--attack-start", type=float)
+    sim.add_argument("--lease-secs", type=int)
+    sim.add_argument("--sig-share", type=float)
+    sim.add_argument("--tamper", type=_parse_bool, nargs="?", const=True, metavar="BOOL")
+    sim.add_argument("--rogue-answers-requests", type=_parse_bool, metavar="BOOL")
     sim.add_argument("--rate", type=float, help="events/s for the scenario's primary class")
     for key in _RATE_KEYS:
-        sim.add_argument(f"--rate-{key}", type=float, dest=f"rate_{key}")
+        sim.add_argument(f"--rate-{key}", type=float)
     sim.add_argument("--topology", help="topology JSON file (default: built-in)")
-    sim.add_argument("--config")
-    sim.add_argument("--out", help="trace output path (default trace.jsonl)")
-    sim.add_argument("--registry-out", dest="registry_out",
-                     help="also write the legitimate-server registry")
+    sim.add_argument("--out", default="trace.jsonl", help="trace output path (default %(default)s)")
+    sim.add_argument("--registry-out", help="also write the legitimate-server registry")
     sim.set_defaults(func=cmd_simulate)
 
     det = sub.add_parser("detect", help="run the detection pipeline over a trace")
@@ -352,23 +283,33 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--registry")
     det.add_argument("--signatures", help="rule file (default: bundled sample)")
     det.add_argument("--topology", help="override the topology stored in the trace")
-    det.add_argument("--alerts", help="alert log output (default alerts.jsonl)")
-    det.add_argument("--counters", help="counters output (default counters.json)")
-    det.add_argument("--label", help="run label used in reports")
-    det.add_argument("--block", action="store_const", const=True,
+    det.add_argument("--alerts", default="alerts.jsonl",
+                     help="alert log output (default %(default)s)")
+    det.add_argument("--counters", default="counters.json",
+                     help="counters output (default %(default)s)")
+    det.add_argument("--label", help="run label used in reports (default: the trace's stem)")
+    det.add_argument("--block", type=_parse_bool, nargs="?", const=True, metavar="BOOL",
                      help="treat rogue DHCP replies as dropped in replay accounting")
-    det.add_argument("--window", type=float, help="ingredient window seconds")
-    det.add_argument("--max-rate", type=float, dest="max_rate")
-    det.add_argument("--max-gap", type=float, dest="max_gap")
-    det.add_argument("--flood-threshold", type=int, dest="flood_threshold")
-    det.add_argument("--retransmit-timeout", type=float, dest="retransmit_timeout")
-    det.add_argument("--replication-limit", type=int, dest="replication_limit")
-    det.add_argument("--alpha", type=float, help="anomaly smoothing factor")
-    det.add_argument("--k", type=float, help="anomaly threshold sigmas")
-    det.add_argument("--warmup", type=int, help="anomaly warmup windows")
-    det.add_argument("--anomaly-window", type=float, dest="anomaly_window")
-    det.add_argument("--config")
+    det.add_argument("--window", type=float, dest="ingredient_window",
+                     help="ingredient window seconds")
+    det.add_argument("--max-rate", type=float, dest="ingredient_max_rate")
+    det.add_argument("--max-gap", type=float, dest="ingredient_max_gap")
+    det.add_argument("--flood-threshold", type=int, dest="ingredient_flood_threshold")
+    det.add_argument("--retransmit-timeout", type=float, dest="ingredient_retransmit_timeout")
+    det.add_argument("--replication-limit", type=int, dest="ingredient_replication_limit")
+    det.add_argument("--alpha", type=float, dest="anomaly_alpha",
+                     help="anomaly smoothing factor")
+    det.add_argument("--k", type=float, dest="anomaly_k", help="anomaly threshold sigmas")
+    det.add_argument("--warmup", type=int, dest="anomaly_warmup", help="anomaly warmup windows")
+    det.add_argument("--anomaly-window", type=float)
     det.set_defaults(func=cmd_detect)
+
+    for command in (sim, det):
+        command.add_argument("--config", help="flat 'key = value' file; flags beat it")
+        if config:  # a key names the dest of the option whose default it sets
+            dests = vars(command.parse_args([])).keys() - {"func", "config"}
+            command.set_defaults(**{dest: value for key, value in config.items()
+                                    if (dest := key.replace(".", "_")) in dests})
 
     rep = sub.add_parser("report", help="render reports from counters files")
     rep.add_argument("counters_files", nargs="+", metavar="COUNTERS")
@@ -380,20 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            args = build_parser(load_config_file(args.config)).parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed input file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

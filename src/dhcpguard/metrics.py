@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import logging
 import statistics
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from math import isfinite
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -114,8 +115,29 @@ class RunReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunReport":
-        fields = {k: data[k] for k in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        return cls(**fields)
+        """The report a counters file holds; a missing or mistyped field is a
+        :class:`ValueError` naming it."""
+        if not isinstance(data, dict):
+            raise ValueError("'report' must be an object")
+        for f in fields(cls):
+            if not _fits(f.name, f.type, data.get(f.name)):
+                raise ValueError(f"report field {f.name!r} must be {f.type}, "
+                                 f"got {type(data.get(f.name)).__name__}")
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fits(name: str, kind: str, value) -> bool:
+    """Whether ``value`` can stand in the RunReport field ``name`` annotated ``kind``."""
+    if kind == "Optional[float]":  # a percentage, or the non-negative st_ratio
+        limit = 100.0 if name in _PCT_METRICS else sys.float_info.max
+        return value is None or (isinstance(value, float) and 0.0 <= value <= limit)
+    if kind == "dict[str, int]":
+        return isinstance(value, dict) and all(map(_is_count, value.values()))
+    return isinstance(value, str) if kind == "str" else _is_count(value)
 
 
 def _try(fn, *args) -> Optional[float]:
@@ -265,7 +287,7 @@ def render_series_csv(series_by_label: dict[str, Sequence[tuple[float, int, int]
     lines = ["run,time,generated,captured,capture_pct"]
     for label, series in series_by_label.items():
         for time, generated, captured in series:
-            pct = "" if generated == 0 else f"{captured * 100.0 / generated:.3f}"
+            pct = "" if generated == 0 else f"{captured * 100 / generated:.3f}"
             lines.append(f"{label},{time:g},{generated},{captured},{pct}")
     return "\n".join(lines) + "\n"
 
@@ -283,11 +305,28 @@ def save_counters(report: RunReport, result: DetectionResult, path: Union[str, P
         fh.write("\n")
 
 
+def _is_series_row(row) -> bool:
+    """``[time, generated, captured]`` with cumulative counts, captured <= generated."""
+    return (isinstance(row, list) and len(row) == 3 and isinstance(row[0], float)
+            and isfinite(row[0]) and _is_count(row[1]) and _is_count(row[2])
+            and 0 <= row[2] <= row[1])
+
+
 def load_counters(path: Union[str, Path]) -> tuple[RunReport, list[tuple[float, int, int]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("schema") != "dhcpguard-counters/1":
-        raise ValueError(f"{path}: unsupported counters schema {data.get('schema')!r}")
-    report = RunReport.from_json(data["report"])
-    series = [(float(t), int(g), int(c)) for t, g, c in data.get("capture_series", [])]
-    return report, series
+    """A counters file's report and capture series; a file that does not fit
+    is a :class:`ValueError` naming it and the field."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("counters must be a JSON object")
+        if data.get("schema") != "dhcpguard-counters/1":
+            raise ValueError(f"unsupported counters schema {data.get('schema')!r}")
+        report = RunReport.from_json(data.get("report"))
+        rows = data.get("capture_series", [])
+        if not (isinstance(rows, list) and all(map(_is_series_row, rows))):
+            raise ValueError("capture_series must be a list of [time, generated, captured] "
+                             "rows with 0 <= captured <= generated")
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return report, [(t, g, c) for t, g, c in rows]

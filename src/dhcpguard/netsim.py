@@ -72,6 +72,11 @@ MAX_DURATION = 1e5
 #: run of MAX_DURATION
 MAX_EVENTS = 10**7
 
+#: largest generic payload a trace may carry; the anomaly metrics divide
+#: sums of sizes as floats, so a size needs a bound, and 2^32 is far above
+#: any flow the simulator emits
+MAX_SIZE_BYTES = 2**32
+
 ROUTER_IP = parse_ipv4("10.0.0.1")
 LEGIT_SERVER_IP = parse_ipv4("10.0.0.2")
 ROGUE_SERVER_IP = parse_ipv4("10.0.66.1")
@@ -726,8 +731,8 @@ def event_from_json(data: dict) -> SimEvent:
         payload: Payload = DhcpPayload.from_raw(bytes.fromhex(payload_data["data"]))
     elif kind == "generic":
         size = int(payload_data["size_bytes"])
-        if size <= 0:
-            raise ValueError("size_bytes must be positive")
+        if not 0 < size <= MAX_SIZE_BYTES:
+            raise ValueError("size_bytes must be in [1, 2^32]")
         payload = GenericPayload(
             proto=Proto(payload_data["proto"]),
             flags=frozenset(str(f) for f in payload_data["flags"]),
@@ -760,6 +765,12 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> None:
             fh.write(json.dumps(event_to_json(ev), sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# What decoding hostile JSON can raise besides a bad value, type or key:
+# ``int()`` of a number too large for a float (``1e400`` reads as inf) and
+# nesting deeper than the recursion limit.
+INPUT_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
+
+
 def _input_error(exc: Exception) -> str:
     """Readable reason for a parse failure of JSON-decoded input."""
     if isinstance(exc, KeyError):
@@ -774,7 +785,7 @@ def _nodes_from_json(nodes) -> list[NodeSpec]:
     for i, node in enumerate(nodes):
         try:
             topology.append(_node_from_json(node))
-        except (LookupError, TypeError, ValueError) as exc:
+        except INPUT_ERRORS as exc:
             raise ValueError(f"topology node {i}: {_input_error(exc)}") from None
     return topology
 
@@ -784,17 +795,17 @@ def _read_header(fh, path: Union[str, Path]) -> Trace:
     header_line = fh.readline()
     if not header_line:
         raise ValueError(f"{path}: empty trace file")
-    header = json.loads(header_line)
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: trace header must be a JSON object")
-    if header.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
     try:
+        header = json.loads(header_line)
+        if not isinstance(header, dict):
+            raise ValueError("not a JSON object")
+        if header.get("schema") != TRACE_SCHEMA:
+            raise ValueError(f"unsupported schema {header.get('schema')!r}")
         kind = ScenarioKind(header["kind"])
         seed = int(header["seed"])
         duration = float(header["duration"])
         topology = _nodes_from_json(header.get("topology", []))
-    except (LookupError, TypeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         raise ValueError(f"{path}: bad trace header: {_input_error(exc)}") from None
     if not 0 < duration <= MAX_DURATION:  # NaN included
         raise ValueError(
@@ -804,7 +815,7 @@ def _read_header(fh, path: Union[str, Path]) -> Trace:
 
 def read_trace_header(path: Union[str, Path]) -> Trace:
     """A trace file's header alone, as a trace with no events; one line is read."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return _read_header(fh, path)
 
 
@@ -814,11 +825,12 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
     Returns the trace plus a list of (line number, reason) for lines that
     failed to parse or whose time lies outside [0, duration]; parsing
     continues past bad lines so the caller can count
-    received-but-not-analyzed input.  A bad header is a :class:`ValueError`
-    naming the file.
+    received-but-not-analyzed input; a byte that is not UTF-8 reads as
+    U+FFFD, which leaves its line malformed.  A bad header is a
+    :class:`ValueError` naming the file.
     """
     malformed: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         trace = _read_header(fh, path)
         duration = trace.duration
         events = trace.events
@@ -829,7 +841,7 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
                 event = event_from_json(json.loads(line))
                 if not 0.0 <= event.time <= duration:
                     raise ValueError(f"time {event.time} outside [0, {duration}]")
-            except (ValueError, KeyError, TypeError) as exc:
+            except INPUT_ERRORS as exc:
                 malformed.append((lineno, _input_error(exc)))
             else:
                 events.append(event)
@@ -838,11 +850,10 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
 
 def load_topology(path: Union[str, Path]) -> list[NodeSpec]:
     """Topology JSON: ``{"nodes": [{"id", "role", "position", ...}, ...]}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
-        return _nodes_from_json(data["nodes"])
-    except (LookupError, TypeError, ValueError) as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _nodes_from_json(json.load(fh)["nodes"])
+    except INPUT_ERRORS as exc:
         raise ValueError(f"{path}: {_input_error(exc)}") from None
 
 

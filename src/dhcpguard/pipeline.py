@@ -110,18 +110,18 @@ class DhcpRegistry:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DhcpRegistry":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: registry must be a JSON object")
-        if data.get("schema") != REGISTRY_SCHEMA:
-            raise ValueError(f"{path}: unsupported registry schema {data.get('schema')!r}")
-        servers = data.get("servers", [])
-        if not isinstance(servers, list):
-            raise ValueError(f"{path}: 'servers' must be a list, got {servers!r}")
         try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("registry must be a JSON object")
+            if data.get("schema") != REGISTRY_SCHEMA:
+                raise ValueError(f"unsupported registry schema {data.get('schema')!r}")
+            servers = data.get("servers", [])
+            if not isinstance(servers, list):
+                raise ValueError(f"'servers' must be a list, got {type(servers).__name__}")
             return cls.from_records(servers)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

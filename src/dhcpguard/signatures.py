@@ -107,10 +107,14 @@ class SignatureDb:
 
 
 def load_signatures(path: Union[str, Path]) -> SignatureDb:
-    """Parse a rule file; raises with the offending line number."""
+    """Parse a rule file; raises naming the file and the offending line.
+
+    A byte that is not UTF-8 reads as U+FFFD, so it is an error only where
+    a field holds it, not in a comment.
+    """
     signatures: list[Signature] = []
     seen: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -118,7 +122,7 @@ def load_signatures(path: Union[str, Path]) -> SignatureDb:
             parts = [p.strip() for p in line.split("|")]
             if len(parts) != 5:
                 raise SignatureParseError(
-                    f"line {lineno}: expected 5 |-separated fields, got {len(parts)}", lineno
+                    f"{path}:{lineno}: expected 5 |-separated fields, got {len(parts)}", lineno
                 )
             try:
                 sig_id = int(parts[0])
@@ -128,10 +132,10 @@ def load_signatures(path: Union[str, Path]) -> SignatureDb:
                 pattern = bytes.fromhex(parts[4])
                 sig = Signature(sig_id, pattern, attack_class, direction, severity)
             except ValueError as exc:
-                raise SignatureParseError(f"line {lineno}: {exc}", lineno) from None
+                raise SignatureParseError(f"{path}:{lineno}: {exc}", lineno) from None
             if sig_id in seen:
                 raise DuplicateSignatureId(
-                    f"line {lineno}: duplicate signature id {sig_id} "
+                    f"{path}:{lineno}: duplicate signature id {sig_id} "
                     f"(first seen on line {seen[sig_id]})",
                     lineno,
                 )

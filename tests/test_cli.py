@@ -443,3 +443,29 @@ def test_block_flag_reports_blocked_replies(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert run_cli("simulate", "--scenario", "not-a-kind", "--seed", "1") == EXIT_USAGE
     assert run_cli() == EXIT_USAGE
+
+
+def test_switches_take_an_optional_bool(tmp_path, capsys):
+    def sha(*extra):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("simulate", "--scenario", "masquerade", "--seed", "2", "--duration", "10",
+                       "--out", str(trace), "--registry-out", str(tmp_path / "r.json"),
+                       *extra) == EXIT_OK
+        return trace.read_bytes()
+
+    assert sha("--tamper") == sha("--tamper", "yes") != sha("--tamper", "no") == sha()
+    capsys.readouterr()
+    assert run_cli("detect", "--trace", "t.jsonl", "--block", "maybe") == EXIT_USAGE
+    assert "--block" in capsys.readouterr().err
+
+
+def test_config_key_takes_dotted_or_underscore_spelling(tmp_path):
+    traces = []
+    for key in ("rate.dos", "rate_dos"):
+        config = tmp_path / f"{key}.conf"
+        config.write_text(f"scenario = dos-syn\nseed = 1\nduration = 5\n{key} = 7\n")
+        trace = tmp_path / f"{key}.jsonl"
+        assert run_cli("simulate", "--config", str(config), "--out", str(trace)) == EXIT_OK
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+    assert sum(line.count('"dos"') for line in traces[0].decode().splitlines()[1:]) == 35
