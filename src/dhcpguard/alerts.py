@@ -51,7 +51,7 @@ def layer_of_sign(unique_sign: str) -> Layer:
         raise ValueError(f"unknown alert sign {unique_sign!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alert:
     """One detection verdict.
 

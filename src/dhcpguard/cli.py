@@ -8,11 +8,12 @@ resolves flags > config file > defaults.  The config file is flat
 ``key = value`` text; ``#`` starts a comment.  A key names an option's
 dest, with ``.`` or ``_`` between words: ``seed``, ``pool_size``,
 ``rate.dos``, ``ingredient.window``, ``anomaly.k``.  :func:`build_parser`
-makes a file's values the subcommands' defaults, so argparse converts a
-value from the file with the option's own type, exactly as it converts a
-flag.  Unknown keys are ignored.  An option that neither a flag nor the
-file sets is not passed on, so ``Scenario``, ``IngredientConfig`` and
-``AnomalyConfig`` keep the only defaults.
+converts a file's values with each option's own type, exactly as argparse
+converts a flag, and makes them the defaults of the subcommand being run;
+a value the type refuses is a usage error naming the file and the key.  Unknown keys
+are ignored.  An option that neither a flag nor the file sets is not
+passed on, so ``Scenario``, ``IngredientConfig`` and ``AnomalyConfig``
+keep the only defaults.
 """
 
 from __future__ import annotations
@@ -248,8 +249,37 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentParser:
-    """The command-line parser; ``config``'s values become the option defaults."""
+def _config_defaults(command: argparse.ArgumentParser, config: dict[str, str],
+                     path: str) -> dict:
+    """``config``'s values for ``command``'s options, each converted with the option's type.
+
+    A key names the dest of the option whose default it sets; a value the
+    type refuses is a :class:`ConfigError` naming ``path`` and the key.
+    """
+    types = {action.dest: action.type for action in command._actions
+             if action.dest not in ("help", "config")}
+    defaults = {}
+    for key, value in config.items():
+        dest = key.replace(".", "_")
+        if dest not in types:
+            continue
+        convert = types[dest]
+        try:
+            defaults[dest] = value if convert is None else convert(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from None
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{path}: {key}: invalid {convert.__name__} value: {value!r}") from None
+    return defaults
+
+
+def build_parser(config: Optional[dict[str, str]] = None, config_path: str = "config",
+                 command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser; ``config``'s values become ``command``'s option defaults.
+
+    ``config_path`` names the file they came from in a :class:`ConfigError`.
+    """
     parser = argparse.ArgumentParser(
         prog="dhcpguard",
         description="Simulate LAN attacks around a rogue DHCP server and detect them "
@@ -304,12 +334,10 @@ def build_parser(config: Optional[dict[str, str]] = None) -> argparse.ArgumentPa
     det.add_argument("--anomaly-window", type=float)
     det.set_defaults(func=cmd_detect)
 
-    for command in (sim, det):
-        command.add_argument("--config", help="flat 'key = value' file; flags beat it")
-        if config:  # a key names the dest of the option whose default it sets
-            dests = vars(command.parse_args([])).keys() - {"func", "config"}
-            command.set_defaults(**{dest: value for key, value in config.items()
-                                    if (dest := key.replace(".", "_")) in dests})
+    for name, sub_parser in (("simulate", sim), ("detect", det)):
+        sub_parser.add_argument("--config", help="flat 'key = value' file; flags beat it")
+        if config and name == command:  # the other command's keys are not read
+            sub_parser.set_defaults(**_config_defaults(sub_parser, config, config_path))
 
     rep = sub.add_parser("report", help="render reports from counters files")
     rep.add_argument("counters_files", nargs="+", metavar="COUNTERS")
@@ -324,7 +352,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "config", None):
-            args = build_parser(load_config_file(args.config)).parse_args(argv)
+            config = load_config_file(args.config)
+            args = build_parser(config, args.config, args.command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

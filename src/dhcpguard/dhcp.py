@@ -105,7 +105,7 @@ class PoolExhausted(Exception):
     """No free address left in the pool (the starvation symptom)."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MacAddr:
     """A six-octet hardware address."""
 
@@ -130,7 +130,7 @@ class MacAddr:
         return ":".join(f"{b:02x}" for b in self.octets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DhcpMessage:
     """One protocol message, the unit the verifier inspects.
 

@@ -91,6 +91,11 @@ _BG_PATTERNS = (
     b"udp:clock-sync",
 )
 
+# Flag sets the generators share, instead of one new frozenset per event.
+_NO_FLAGS: frozenset[str] = frozenset()
+_ACK = frozenset({"ack"})
+_SYN = frozenset({"syn"})
+
 
 class Role(str, Enum):
     CLIENT = "client"
@@ -131,7 +136,7 @@ class InvalidScenario(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericPayload:
     proto: Proto
     flags: frozenset[str]
@@ -139,7 +144,7 @@ class GenericPayload:
     payload_pattern: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DhcpPayload:
     """DHCP wire bytes plus the decode attempt.
 
@@ -167,7 +172,7 @@ class DhcpPayload:
 Payload = Union[DhcpPayload, GenericPayload]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     time: float
     src: int
@@ -185,8 +190,14 @@ class NodeSpec:
     link_latency: float = 0.01
 
     def __post_init__(self):
-        if self.radio_range < 0:
-            raise ValueError("radio_range must be >= 0")
+        # NaN would turn every distance comparison false and hide range
+        # violations, and a negative latency would send replies back in time.
+        if not all(map(math.isfinite, self.position)):
+            raise ValueError(f"position must be finite, got {self.position}")
+        for name in ("radio_range", "link_latency"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN included
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -576,7 +587,7 @@ class _Lan:
 
     def _benign_payload(self) -> GenericPayload:
         proto = self.rng.choice((Proto.TCP, Proto.UDP, Proto.DNS))
-        flags = frozenset({"ack"}) if proto is Proto.TCP else frozenset()
+        flags = _ACK if proto is Proto.TCP else _NO_FLAGS
         pattern = self.rng.choice(_BG_PATTERNS) + b" #%06x" % self.rng.getrandbits(24)
         return GenericPayload(proto, flags, self.rng.randint(120, 1380), pattern)
 
@@ -604,7 +615,7 @@ class _Lan:
         src = self.rng.choice(self._client_ids)  # spoofed source
         payload = GenericPayload(
             Proto.TCP,
-            frozenset({"syn"}),
+            _SYN,
             self.rng.randint(40, 64),
             b"syn:%08x" % self.rng.getrandbits(32),
         )
@@ -612,12 +623,12 @@ class _Lan:
 
     def _dos_smurf(self, t: float) -> None:
         victim = self.rng.choice(self._client_ids)  # spoofed victim source
-        payload = GenericPayload(Proto.ICMP, frozenset(), 84, b"icmp:echo-request:amplify")
+        payload = GenericPayload(Proto.ICMP, _NO_FLAGS, 84, b"icmp:echo-request:amplify")
         self._emit_generic(t, victim, BROADCAST, payload, AttackClass.DOS)
 
     def _dos_dns(self, t: float) -> None:
         payload = GenericPayload(
-            Proto.DNS, frozenset(), self.rng.randint(60, 90), b"dns:query:target.zone.example"
+            Proto.DNS, _NO_FLAGS, self.rng.randint(60, 90), b"dns:query:target.zone.example"
         )
         self._emit_generic(t, self.attacker.id, self.router.id, payload, AttackClass.DOS)
 
@@ -628,7 +639,7 @@ class _Lan:
         else:
             pattern = b"sess:%08x keepalive" % self.rng.getrandbits(32)
         src = self.rng.choice(self._client_ids)
-        payload = GenericPayload(Proto.TCP, frozenset({"ack"}),
+        payload = GenericPayload(Proto.TCP, _ACK,
                                  self.rng.randint(8000, 20000), pattern)
         self._emit_generic(t, src, self.router.id, payload, AttackClass.U2R)
 
@@ -638,7 +649,7 @@ class _Lan:
         else:
             pattern = b"auth user=%06x password=****" % self.rng.getrandbits(24)
         dst = self.rng.choice(self._client_ids)
-        payload = GenericPayload(Proto.TCP, frozenset({"ack"}),
+        payload = GenericPayload(Proto.TCP, _ACK,
                                  self.rng.randint(80, 240), pattern)
         self._emit_generic(t, self.attacker.id, dst, payload, AttackClass.R2L)
 
@@ -652,7 +663,7 @@ class _Lan:
             pattern = self.rng.choice(_BG_PATTERNS) + b" pad:%016x" % self.rng.getrandbits(64)
             src, dst = self.rng.choice(self._client_ids), self.router.id
             size = self.rng.randint(1600, 2600)
-        payload = GenericPayload(Proto.TCP, frozenset({"syn"}), size, pattern)
+        payload = GenericPayload(Proto.TCP, _SYN, size, pattern)
         self._emit_generic(t, src, dst, payload, AttackClass.PROBE)
 
     # -- run -----------------------------------------------------------
@@ -721,6 +732,25 @@ def event_to_json(ev: SimEvent) -> dict:
     }
 
 
+#: most distinct flag sets :func:`event_from_json` keeps a shared copy of
+FLAG_SETS_MAX = 64
+# A trace holds a handful of distinct flag sets, so each event read keeps
+# one of a few shared frozensets instead of its own.  A full table is
+# emptied, so hostile input cannot grow it, and the sets of a later trace
+# are shared again.
+_flag_sets: dict[frozenset[str], frozenset[str]] = {}
+
+
+def _flag_set(flags) -> frozenset[str]:
+    flag_set = frozenset(str(f) for f in flags)
+    shared = _flag_sets.get(flag_set)
+    if shared is None:
+        if len(_flag_sets) >= FLAG_SETS_MAX:
+            _flag_sets.clear()
+        shared = _flag_sets[flag_set] = flag_set
+    return shared
+
+
 def event_from_json(data: dict) -> SimEvent:
     time = float(data["time"])
     if not math.isfinite(time):
@@ -735,7 +765,7 @@ def event_from_json(data: dict) -> SimEvent:
             raise ValueError("size_bytes must be in [1, 2^32]")
         payload = GenericPayload(
             proto=Proto(payload_data["proto"]),
-            flags=frozenset(str(f) for f in payload_data["flags"]),
+            flags=_flag_set(payload_data["flags"]),
             size_bytes=size,
             payload_pattern=bytes.fromhex(payload_data["payload_pattern"]),
         )

@@ -152,7 +152,7 @@ def sample_signatures_path() -> Path:
 # -- event view ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventView:
     """What the detection layers need of one event beyond the event itself.
 
@@ -228,7 +228,7 @@ class IngredientConfig:
                 raise ValueError(f"{name} must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     ingredient: Ingredient
     attack_class: AlertClass

@@ -1,14 +1,25 @@
-"""Reference forms of the detection code the differential tests compare against.
+"""Reference forms of the code the differential tests compare against.
 
 These are the straightforward versions that the compiled rule scan, the
-deadline heap and the range-verdict cache replaced: a per-rule loop, a
-dict scan over every pending REQUEST, and a geometry check on every
-call.  Outputs must stay identical to them.
+deadline heap, the range-verdict cache and the shared flag sets
+replaced: a per-rule loop, a dict scan over every pending REQUEST, a
+geometry check on every call, and a new flag set for every event read.
+Outputs must stay identical to them.
 """
 
+import math
 from math import dist
 
 from dhcpguard.alerts import AlertClass, Severity
+from dhcpguard.netsim import (
+    BROADCAST,
+    MAX_SIZE_BYTES,
+    AttackClass,
+    DhcpPayload,
+    GenericPayload,
+    Proto,
+    SimEvent,
+)
 from dhcpguard.signatures import Direction, Ingredient, Violation
 from dhcpguard.signatures import SlidingWindow as _SlidingWindow
 
@@ -60,3 +71,34 @@ class SlidingWindow(_SlidingWindow):
             f"node {src} reached {distance:.1f} units, beyond its "
             f"radio range {src_node.radio_range:.1f}",
         )
+
+
+def event_from_json(data):
+    """One trace line to an event, with a new flag set of its own."""
+    time = float(data["time"])
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
+    payload_data = data["payload"]
+    kind = payload_data["kind"]
+    if kind == "dhcp":
+        payload = DhcpPayload.from_raw(bytes.fromhex(payload_data["data"]))
+    elif kind == "generic":
+        size = int(payload_data["size_bytes"])
+        if not 0 < size <= MAX_SIZE_BYTES:
+            raise ValueError("size_bytes must be in [1, 2^32]")
+        payload = GenericPayload(
+            proto=Proto(payload_data["proto"]),
+            flags=frozenset(str(f) for f in payload_data["flags"]),
+            size_bytes=size,
+            payload_pattern=bytes.fromhex(payload_data["payload_pattern"]),
+        )
+    else:
+        raise ValueError(f"unknown payload kind {kind!r}")
+    dst = data["dst"]
+    return SimEvent(
+        time=time,
+        src=int(data["src"]),
+        dst=BROADCAST if dst == "broadcast" else int(dst),
+        payload=payload,
+        ground_truth=AttackClass(data["ground_truth"]),
+    )

@@ -469,3 +469,43 @@ def test_config_key_takes_dotted_or_underscore_spelling(tmp_path):
         traces.append(trace.read_bytes())
     assert traces[0] == traces[1]
     assert sum(line.count('"dos"') for line in traces[0].decode().splitlines()[1:]) == 35
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("position", [NAN, 0.0]),
+    ("position", [0.0, -INF]),
+    ("radio_range", NAN),
+    ("radio_range", INF),
+    ("link_latency", NAN),
+    ("link_latency", INF),
+])
+@pytest.mark.parametrize("source", ["topology", "header"])
+def test_detect_refuses_non_finite_node_geometry(tmp_path, capsys, source, field, value):
+    # NaN geometry used to turn every distance comparison false: with the
+    # attacker at [NaN, 0] this trace fell from tp=460 to tp=86, exit 0.
+    trace, reg = _simulate(tmp_path, scenario="mixed", seed=1, duration=10)
+    nodes = json.loads(trace.read_text().splitlines()[0])["topology"]
+    index = next(i for i, node in enumerate(nodes) if node["role"] == "attacker")
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"nodes": nodes}))
+    argv = ["detect", "--trace", str(trace), "--registry", str(reg),
+            "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(tmp_path / "c.json")]
+    assert run_cli(*argv, "--topology", str(topology)) == EXIT_HIGH_ALERT
+
+    nodes[index][field] = value
+    if source == "topology":
+        topology.write_text(json.dumps({"nodes": nodes}))
+        argv += ["--topology", str(topology)]
+    else:
+        _rewrite_lines(trace, {0: lambda header: dict(header, topology=nodes)})
+    (tmp_path / "c.json").unlink()
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    for needle in (str(topology if source == "topology" else trace), f"node {index}", field):
+        assert needle in captured.err
+    assert not (tmp_path / "c.json").exists()

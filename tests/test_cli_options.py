@@ -201,3 +201,37 @@ def test_unknown_config_keys_are_ignored(run, inputs, command):
     unknown = {"func": "nothing", "command": "report", "config": "missing.conf",
                "bogus": "1", "window": "abc", "rate.nobody": "abc"}
     assert run(command, base, unknown) == expected
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("ingredient.flood_threshold", "1.5"),
+    ("ingredient.window", "abc"),
+    ("anomaly.warmup", "1.5"),
+    ("anomaly.k", "abc"),
+])
+def test_bad_config_value_names_the_file_and_the_key(run, inputs, key, bad):
+    rc, files, err = run("detect", _detect_base(inputs), {key: bad})
+    assert rc == EXIT_USAGE
+    assert f".conf: {key}: invalid " in err and repr(bad) in err
+    assert "argument --" not in err  # the file has no flags, so none is named
+    assert not files
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    ("simulate", "ingredient.flood_threshold", "1.5"),
+    ("simulate", "anomaly.k", "abc"),
+    ("detect", "rate.dos", "abc"),
+    ("detect", "clients", "1.5"),
+])
+def test_the_other_commands_config_keys_are_not_read(run, inputs, command, key, bad):
+    base = _simulate_base("mixed") if command == "simulate" else _detect_base(inputs)
+    assert run(command, base, {key: bad}) == run(command, base)
+
+
+def test_bad_config_value_is_refused_even_where_a_flag_overrides_it(run, inputs):
+    # Every key of the running command is converted when the file is read.
+    base = {**_detect_base(inputs), "--flood-threshold": "5"}
+    rc, files, err = run("detect", base, {"ingredient.flood_threshold": "1.5"})
+    assert rc == EXIT_USAGE
+    assert ".conf: ingredient.flood_threshold: invalid int value: '1.5'" in err
+    assert not files

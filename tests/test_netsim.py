@@ -326,3 +326,18 @@ def test_legit_server_records_shape():
     assert rec["server_id"] == format_ipv4(LEGIT_SERVER_IP)
     legit = next(n for n in topo if n.role is Role.LEGIT_DHCP)
     assert rec["mac"] == str(node_mac(legit.id))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("position", (float("nan"), 0.0)),
+    ("position", (0.0, float("inf"))),
+    ("radio_range", float("nan")),
+    ("radio_range", float("inf")),
+    ("radio_range", -1.0),
+    ("link_latency", float("nan")),
+    ("link_latency", float("-inf")),
+    ("link_latency", -0.5),
+])
+def test_bad_node_geometry_is_refused(field, value):
+    with pytest.raises(ValueError, match=field):
+        NodeSpec(0, Role.CLIENT, **{field: value})
