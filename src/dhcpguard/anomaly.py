@@ -47,10 +47,6 @@ def check_window_count(duration: float, window: float) -> None:
                          f"{duration:g} s trace ({MAX_WINDOWS} windows), got {window:g}")
 
 
-class ColdStart(Exception):
-    """Raised when no metric has seen enough samples to judge."""
-
-
 class Outcome(str, Enum):
     TP = "tp"
     FP = "fp"
@@ -134,10 +130,10 @@ class Baseline:
         for name, value in samples.items():
             self.metric(name).update(value)
 
-    def exceeded(self, samples: dict[str, float]) -> list[str]:
+    def exceeded(self, samples: dict[str, float]) -> Optional[list[str]]:
         """Names of warmed-up metrics strictly above their threshold.
 
-        Raises :class:`ColdStart` when no observed metric is warmed up.
+        ``None`` when no observed metric is warmed up yet.
         """
         warmup, k = self.config.warmup, self.config.k
         warmed = False
@@ -148,9 +144,7 @@ class Baseline:
                 warmed = True
                 if value > baseline.threshold(k):
                     above.append(name)
-        if not warmed:
-            raise ColdStart(f"no metric has {warmup} samples yet")
-        return above
+        return above if warmed else None
 
 
 def classify(alarm_raised: bool, truth_is_attack: bool) -> Outcome:
@@ -246,7 +240,8 @@ class WindowTracker:
 
     Feed every event through :meth:`add_event`; only generic payloads
     contribute samples, but any event's timestamp closes due windows.
-    The trailing partial window at end of stream is never closed.
+    The trailing partial window at end of stream is never closed.  The
+    tracker also keeps the :class:`TrailingWindow` of the per-event checks.
     """
 
     def __init__(self, config: AnomalyConfig):
@@ -259,40 +254,45 @@ class WindowTracker:
         self._size_sum = 0
         self._sources: set[int] = set()
         self._attack = False
+        self._trailing = TrailingWindow()
 
     def _emit(self) -> None:
         metrics = traffic_metrics(self._count, self._size_sum, len(self._sources),
                                   self.config.window)
-        try:
-            raised: Optional[bool] = bool(self.baseline.exceeded(metrics))
-        except ColdStart:
-            raised = None
-        if raised is not None:
-            self.counters.add(classify(raised, self._attack))
+        exceeded = self.baseline.exceeded(metrics)
+        if exceeded is not None:
+            self.counters.add(classify(bool(exceeded), self._attack))
             end = (self._index + 1) * self.config.window
             self.st_series.append((end, sign_of_attack(self.counters.tn, self.counters.fn).ratio))
-        if not raised:  # silent or cold: safe to learn from this window
+        if not exceeded:  # silent or cold: safe to learn from this window
             self.baseline.update(metrics)
         self._count = 0
         self._size_sum = 0
         self._sources = set()
         self._attack = False
 
-    def add_event(self, event: SimEvent) -> None:
+    def add_event(self, event: SimEvent) -> Optional[dict[str, float]]:
+        """Close the windows due by ``event``'s time and count the event.
+
+        A generic event also returns the trailing-window metrics at its
+        time; any other event returns ``None``.
+        """
         index = int(event.time // self.config.window)
         if self._index is not None:
             while self._index < index:
                 self._emit()
                 self._index += 1
-        if not isinstance(event.payload, GenericPayload):
-            return
+        payload = event.payload
+        if not isinstance(payload, GenericPayload):
+            return None
         if self._index is None:
             self._index = index
         self._count += 1
-        self._size_sum += event.payload.size_bytes
+        self._size_sum += payload.size_bytes
         self._sources.add(event.src)
         if event.ground_truth is not AttackClass.NONE:
             self._attack = True
+        return self._trailing.add(event.time, payload.size_bytes, event.src, self.config.window)
 
 
 def window_classification(events: Iterable[SimEvent], config: AnomalyConfig) -> WindowTracker:

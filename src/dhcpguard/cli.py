@@ -230,8 +230,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     reports = []
     series = {}
+    label_paths: dict[str, str] = {}
     for path in args.counters_files:
         report, capture_series = load_counters(_input_file(path, "counters"))
+        # A run's series is keyed by its label: a second run of the same
+        # label would replace the first's rows.
+        if report.label in label_paths:
+            raise ConfigError(f"label {report.label!r} of {path} is already used by "
+                              f"{label_paths[report.label]}; give each run its own --label")
+        label_paths[report.label] = path
         reports.append(report)
         series[report.label] = capture_series
 

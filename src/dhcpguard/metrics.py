@@ -19,11 +19,13 @@ import json
 import logging
 import statistics
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from math import isfinite
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .anomaly import sign_of_attack
 from .pipeline import DetectionResult
 
 logger = logging.getLogger(__name__)
@@ -148,33 +150,58 @@ def _try(fn, *args) -> Optional[float]:
         return None
 
 
+def _per_class(attacks: Counter, matchable: Optional[bool] = None,
+               captured: bool = False) -> dict[str, int]:
+    """Attack events by class in report order: on one route when ``matchable``
+    is given, and only the alerted ones when ``captured``.
+
+    The classes of ``_CLASS_ROWS`` always appear; the others only when counted.
+    """
+    counts: Counter = Counter()
+    for (cls, on_route, alerted), n in attacks.items():
+        if matchable in (None, on_route) and (alerted or not captured):
+            counts[cls.value] += n
+    return {cls: counts[cls] for cls in _CLASS_ORDER if counts[cls] or cls in _CLASS_ROWS}
+
+
 def build_report(result: DetectionResult, label: str = "run") -> RunReport:
+    """Every report figure, derived once from what the detection pass observed."""
     c = result.counters
+    attacks = result.attacks
+    generated_signature = _per_class(attacks, matchable=True)
+    generated_anomaly = _per_class(attacks, matchable=False)
+    captured_signature = _per_class(attacks, matchable=True, captured=True)
+    captured_anomaly = _per_class(attacks, matchable=False, captured=True)
+    tsa = sum(generated_signature.values())
+    taa = sum(generated_anomaly.values())
+    msa = tsa - sum(captured_signature.values())
+    maa = taa - sum(captured_anomaly.values())
     prec = _try(precision, c.tp, c.fp)
     op = _try(overall_probability, c.tp, c.tn, c.fp, c.fn)
-    eff = _try(efficiency, result.tsa, result.taa, result.msa, result.maa, result.tga)
+    eff = _try(efficiency, tsa, taa, msa, maa, result.tga)
     capacity = _try(packet_analysis_capacity, result.analyzed, result.received)
-    st = result.st_overall
+    windows = result.window_counters
+    st = sign_of_attack(windows.tn, windows.fn)
     return RunReport(
         label=label,
         received=result.received,
         analyzed=result.analyzed,
         tga=result.tga,
-        tsa=result.tsa,
-        taa=result.taa,
-        msa=result.msa,
-        maa=result.maa,
-        generated=dict(result.generated),
-        captured=dict(result.captured),
-        generated_signature=dict(result.generated_signature),
-        generated_anomaly=dict(result.generated_anomaly),
-        captured_signature=dict(result.captured_signature),
-        captured_anomaly=dict(result.captured_anomaly),
+        tsa=tsa,
+        taa=taa,
+        msa=msa,
+        maa=maa,
+        generated=_per_class(attacks),
+        captured=_per_class(attacks, captured=True),
+        generated_signature=generated_signature,
+        generated_anomaly=generated_anomaly,
+        captured_signature=captured_signature,
+        captured_anomaly=captured_anomaly,
         tp=c.tp,
         fp=c.fp,
         tn=c.tn,
         fn=c.fn,
-        window_counters=result.window_counters.as_dict(),
+        window_counters=windows.as_dict(),
         st_ratio=st.ratio if isfinite(st.ratio) else None,
         st_verdict=st.verdict.value,
         alerts_total=len(result.alerts),
@@ -191,6 +218,7 @@ def build_report(result: DetectionResult, label: str = "run") -> RunReport:
 
 _PCT_METRICS = ("packet_analysis_capacity", "precision", "overall_probability", "efficiency")
 _CLASS_ROWS = ("dos", "u2r", "r2l", "probe")
+_CLASS_ORDER = _CLASS_ROWS + ("rogue_dhcp", "masquerade")
 
 
 def _fmt(value) -> str:
@@ -274,8 +302,15 @@ def render_table(reports: Sequence[RunReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted per RFC 4180 only when it must be."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(reports: Sequence[RunReport]) -> str:
-    labels = [r.label for r in reports]
+    labels = [_csv_field(r.label) for r in reports]
     lines = [",".join(["parameter"] + labels)]
     for name, values in _report_rows(reports):
         lines.append(",".join([f'"{name}"'] + [_fmt(v) for v in values]))
@@ -286,9 +321,10 @@ def render_series_csv(series_by_label: dict[str, Sequence[tuple[float, int, int]
     """Cumulative capture-count time series, one row per (run, second)."""
     lines = ["run,time,generated,captured,capture_pct"]
     for label, series in series_by_label.items():
+        run = _csv_field(label)
         for time, generated, captured in series:
             pct = "" if generated == 0 else f"{captured * 100 / generated:.3f}"
-            lines.append(f"{label},{time:g},{generated},{captured},{pct}")
+            lines.append(f"{run},{time:g},{generated},{captured},{pct}")
     return "\n".join(lines) + "\n"
 
 

@@ -63,6 +63,9 @@ TRACE_SCHEMA = "dhcpguard-trace/1"
 #: destination pseudo-id for link-layer broadcast
 BROADCAST = -1
 
+#: bits of a node id: :func:`node_mac` packs it below a one-byte prefix
+NODE_ID_BITS = 40
+
 #: longest simulated or replayed span in seconds; the simulator, the
 #: capture series and the anomaly windows all do work per second of it
 MAX_DURATION = 1e5
@@ -190,6 +193,10 @@ class NodeSpec:
     link_latency: float = 0.01
 
     def __post_init__(self):
+        # An id outside the MAC's 40 bits would overflow it or share another
+        # node's MAC, and -1 is BROADCAST.
+        if not 0 <= self.id < 1 << NODE_ID_BITS:
+            raise ValueError(f"id must be in [0, 2^{NODE_ID_BITS}), got {self.id}")
         # NaN would turn every distance comparison false and hide range
         # violations, and a negative latency would send replies back in time.
         if not all(map(math.isfinite, self.position)):
@@ -263,7 +270,7 @@ class Trace:
 
 def node_mac(node_id: int) -> MacAddr:
     """Locally-administered MAC derived from the node id."""
-    return MacAddr.from_int((0x02 << 40) | node_id)
+    return MacAddr.from_int((0x02 << NODE_ID_BITS) | node_id)
 
 
 def spoofed_mac(i: int) -> MacAddr:

@@ -26,17 +26,13 @@ from .anomaly import (
     MEAN_SIZE,
     RATE,
     AnomalyConfig,
-    ColdStart,
     ConfusionCounters,
-    SignOfAttack,
-    TrailingWindow,
     WindowTracker,
     check_window_count,
     classify,
-    sign_of_attack,
 )
 from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType, format_ipv4, parse_ipv4
-from .netsim import MAX_DURATION, AttackClass, GenericPayload, NodeSpec, SimEvent
+from .netsim import MAX_DURATION, AttackClass, NodeSpec, SimEvent
 from .signatures import (
     EventView,
     Ingredient,
@@ -164,12 +160,12 @@ class Policy:
     anomaly: AnomalyConfig = AnomalyConfig()
 
 
+# In priority order: the first exceeded metric names the alert.
 _ANOMALY_METRIC_CLASS = {
     RATE: (AlertClass.DOS, "AN-RATE"),
     MEAN_SIZE: (AlertClass.U2R, "AN-SIZE"),
     DISTINCT_SOURCES: (AlertClass.PROBE, "AN-SRCS"),
 }
-_ANOMALY_PRIORITY = (RATE, MEAN_SIZE, DISTINCT_SOURCES)
 
 _INGREDIENT_SIGNS = {ingredient: f"SG-ING-{ingredient.value}" for ingredient in Ingredient}
 
@@ -193,7 +189,6 @@ class Pipeline:
         self._policy = policy
         self._window = SlidingWindow(self.nodes)
         self.window_tracker = WindowTracker(policy.anomaly)
-        self._trailing = TrailingWindow()
         self._stops: Counter = Counter()  # consulted-layer tuple -> events
         self.last_consulted: tuple[Layer, ...] = ()
 
@@ -269,20 +264,15 @@ class Pipeline:
             )
         return None
 
-    def _anomaly_layer(self, view: EventView, policy: Policy) -> Optional[Alert]:
-        event = view.event
-        self.window_tracker.add_event(event)
-        if not isinstance(event.payload, GenericPayload):
+    def _anomaly_layer(self, view: EventView) -> Optional[Alert]:
+        metrics = self.window_tracker.add_event(view.event)
+        if metrics is None:
             return None
-        metrics = self._trailing.add(event.time, event.payload.size_bytes, event.src,
-                                     policy.anomaly.window)
-        try:
-            exceeded = self.window_tracker.baseline.exceeded(metrics)
-        except ColdStart:
+        exceeded = self.window_tracker.baseline.exceeded(metrics)
+        if not exceeded:  # cold, or nothing above its threshold
             return None
-        for metric in _ANOMALY_PRIORITY:
+        for metric, (attack_class, sign) in _ANOMALY_METRIC_CLASS.items():
             if metric in exceeded:
-                attack_class, sign = _ANOMALY_METRIC_CLASS[metric]
                 return Alert(
                     time=view.event.time,
                     layer=Layer.ANOMALY,
@@ -312,7 +302,7 @@ class Pipeline:
             alert = self._signature_layer(view, policy, violations)
             if alert is None:
                 consulted = _ALL_LAYERS
-                alert = self._anomaly_layer(view, policy)
+                alert = self._anomaly_layer(view)
         self.last_consulted = consulted
         self._stops[consulted] += 1
         return alert
@@ -321,42 +311,29 @@ class Pipeline:
 # -- whole-trace detection -------------------------------------------------
 
 
-_ATTACK_CLASS_ORDER = (
-    AttackClass.DOS,
-    AttackClass.U2R,
-    AttackClass.R2L,
-    AttackClass.PROBE,
-    AttackClass.ROGUE_DHCP,
-    AttackClass.MASQUERADE,
-)
-
-
 @dataclass
 class DetectionResult:
+    """What one detection pass observed; :func:`metrics.build_report` derives the rest.
+
+    ``attacks`` counts labeled-attack events by ``(AttackClass, matchable,
+    alerted)``: ``matchable`` is the route split, whether any loaded
+    signature's pattern occurs in the payload, whatever its direction.
+    """
+
     alerts: list[Alert]
     counters: ConfusionCounters
     received: int
     analyzed: int
-    generated: dict[str, int]
-    captured: dict[str, int]
-    generated_signature: dict[str, int]
-    generated_anomaly: dict[str, int]
-    captured_signature: dict[str, int]
-    captured_anomaly: dict[str, int]
-    tsa: int
-    taa: int
-    msa: int
-    maa: int
+    attacks: Counter
     alerts_by_layer: dict[str, int]
     blocked: list[int]
     window_counters: ConfusionCounters
     st_series: list[tuple[float, float]]
-    st_overall: SignOfAttack
     capture_series: list[tuple[float, int, int]]
 
     @property
     def tga(self) -> int:
-        return sum(self.generated.values())
+        return sum(self.attacks.values())
 
     @property
     def high_severity(self) -> bool:
@@ -392,10 +369,8 @@ def run_detection(
 
     alerts: list[Alert] = []
     blocked: list[int] = []
-    # One count per (ground truth, alerted, route) in the loop; every other
-    # tally is derived from it, and enum members become strings, at the end.
-    # The route is None for background events.
-    tally: Counter = Counter()
+    background: Counter = Counter()  # alerted -> background events
+    attacks: Counter = Counter()
     # Cumulative (second, generated, captured) attack counts.  An attack
     # event counts toward the first row not yet written whose second is at
     # or after its time; one older than the rows written so far counts
@@ -415,11 +390,9 @@ def run_detection(
                 blocked.append(index)
         cls = event.ground_truth
         if cls is benign:
-            tally[cls, hit, None] += 1
+            background[hit] += 1
         else:
-            # Route split: an attack whose payload any loaded signature can
-            # match is "signature-based"; the rest are "anomaly-based".
-            tally[cls, hit, db.matches_any(view.pattern)] += 1
+            attacks[cls, db.matches_any(view.pattern), hit] += 1
             while second < event.time and second <= last_second:
                 capture_series.append((float(second), cum_gen, cum_cap))
                 second += 1
@@ -428,55 +401,20 @@ def run_detection(
     analyzed = index + 1
     capture_series.extend((float(s), cum_gen, cum_cap) for s in range(second, last_second + 1))
 
-    counters = ConfusionCounters()
-    generated: Counter = Counter()
-    captured: Counter = Counter()
-    route_sig: Counter = Counter()
-    route_anom: Counter = Counter()
-    caught_sig: Counter = Counter()
-    caught_anom: Counter = Counter()
-    for (cls, hit, matchable), n in tally.items():
-        counters.add(classify(hit, cls is not benign), n)
-        if cls is benign:
-            continue
-        generated[cls] += n
-        (route_sig if matchable else route_anom)[cls] += n
-        if hit:
-            captured[cls] += n
-            (caught_sig if matchable else caught_anom)[cls] += n
-    by_layer = Counter(alert.layer for alert in alerts)
-    alerts_by_layer = {layer.value: n for layer, n in by_layer.items()}
-
-    tsa = sum(route_sig.values())
-    taa = sum(route_anom.values())
-    msa = tsa - sum(caught_sig.values())
-    maa = taa - sum(caught_anom.values())
-    window_counters = pipeline.window_tracker.counters
-
-    def ordered(counter: Counter) -> dict[str, int]:
-        out = {c.value: counter.get(c, 0) for c in _ATTACK_CLASS_ORDER}
-        return {k: v for k, v in out.items() if v or k in ("dos", "u2r", "r2l", "probe")}
-
+    counters = ConfusionCounters(fp=background[True], tn=background[False])
+    for (_, _, hit), n in attacks.items():
+        counters.add(classify(hit, True), n)
+    by_layer = Counter(alert.layer.value for alert in alerts)
     return DetectionResult(
         alerts=alerts,
         counters=counters,
         received=analyzed + malformed,
         analyzed=analyzed,
-        generated=ordered(generated),
-        captured=ordered(captured),
-        generated_signature=ordered(route_sig),
-        generated_anomaly=ordered(route_anom),
-        captured_signature=ordered(caught_sig),
-        captured_anomaly=ordered(caught_anom),
-        tsa=tsa,
-        taa=taa,
-        msa=msa,
-        maa=maa,
-        alerts_by_layer=dict(sorted(alerts_by_layer.items())),
+        attacks=attacks,
+        alerts_by_layer=dict(sorted(by_layer.items())),
         blocked=blocked,
-        window_counters=window_counters,
+        window_counters=pipeline.window_tracker.counters,
         st_series=list(pipeline.window_tracker.st_series),
-        st_overall=sign_of_attack(window_counters.tn, window_counters.fn),
         capture_series=capture_series,
     )
 

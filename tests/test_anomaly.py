@@ -7,7 +7,6 @@ from dhcpguard.anomaly import (
     MEAN_SIZE,
     AnomalyConfig,
     Baseline,
-    ColdStart,
     ConfusionCounters,
     MetricBaseline,
     Outcome,
@@ -90,8 +89,7 @@ def test_cold_start_before_warmup():
     baseline = Baseline(config)
     for _ in range(29):
         baseline.update({RATE: 10.0})
-    with pytest.raises(ColdStart):
-        baseline.exceeded({RATE: 10.0})
+    assert baseline.exceeded({RATE: 10.0}) is None
     baseline.update({RATE: 10.0})
     assert baseline.exceeded({RATE: 10.0}) == []
 

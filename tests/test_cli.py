@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import signal
 from contextlib import contextmanager
@@ -509,3 +511,77 @@ def test_detect_refuses_non_finite_node_geometry(tmp_path, capsys, source, field
     for needle in (str(topology if source == "topology" else trace), f"node {index}", field):
         assert needle in captured.err
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("node_id", [-1, 2**48, 10**40, 4 + 2**41])
+@pytest.mark.parametrize("source", ["simulate", "detect", "header"])
+def test_refuses_node_ids_that_have_no_mac(tmp_path, capsys, source, node_id):
+    # A node's MAC packs its id into 40 bits.  -1 (also BROADCAST), 2^48 and
+    # 10^40 made simulate exit 1 with an OverflowError traceback; a client at
+    # 4 + 2^41 silently took client 4's MAC, and only 2 of 3 clients bound.
+    trace, reg = _simulate(tmp_path, seed=1, duration=30, clients=3)
+    nodes = json.loads(trace.read_text().splitlines()[0])["topology"]
+    index = max(i for i, node in enumerate(nodes) if node["role"] == "client")
+    nodes[index]["id"] = node_id
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"nodes": nodes}))
+    out = tmp_path / "out"
+    argv = ["detect", "--trace", str(trace), "--registry", str(reg),
+            "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(out)]
+    if source == "simulate":
+        argv = ["simulate", "--scenario", "rogue-race", "--seed", "1", "--duration", "30",
+                "--topology", str(topology), "--out", str(out)]
+    elif source == "detect":
+        argv += ["--topology", str(topology)]
+    else:
+        _rewrite_lines(trace, {0: lambda header: dict(header, topology=nodes)})
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    for needle in (str(trace if source == "header" else topology), f"node {index}: id"):
+        assert needle in captured.err
+    assert not out.exists()
+
+
+def test_report_refuses_a_label_an_earlier_file_used(tmp_path, capsys):
+    # Both traces are named trace.jsonl, so both runs default to the label
+    # "trace": the series CSV used to hold one run's rows instead of both.
+    counters = []
+    for seed in (1, 2):
+        run_dir = tmp_path / f"run{seed}"
+        run_dir.mkdir()
+        trace, reg = _simulate(run_dir, seed=seed, duration=20)
+        counters.append(run_dir / "c.json")
+        run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                "--alerts", str(run_dir / "a.jsonl"), "--counters", str(counters[-1]))
+    series = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run_cli("report", *map(str, counters), "--series", str(series)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    for needle in ("'trace'", str(counters[0]), str(counters[1])):
+        assert needle in captured.err
+    assert not series.exists()
+
+
+def test_report_csv_round_trips_any_label(tmp_path, capsys):
+    # A label with a comma used to split into two header columns.
+    labels = ['run,"x"', "two\nlines", 'say "hi"', "plain"]
+    trace, reg = _simulate(tmp_path, duration=20)
+    counters = []
+    for i, label in enumerate(labels):
+        counters.append(str(tmp_path / f"c{i}.json"))
+        run_cli("detect", "--trace", str(trace), "--registry", str(reg), "--label", label,
+                "--alerts", str(tmp_path / "a.jsonl"), "--counters", counters[-1])
+    report, series = tmp_path / "r.csv", tmp_path / "s.csv"
+    assert run_cli("report", *counters, "--format", "csv", "--out", str(report),
+                   "--series", str(series)) == EXIT_OK
+    capsys.readouterr()
+
+    rows = list(csv.reader(io.StringIO(report.read_text(encoding="utf-8"))))
+    assert rows[0] == ["parameter"] + labels
+    assert all(len(row) == 1 + len(labels) for row in rows)
+    rows = list(csv.reader(io.StringIO(series.read_text(encoding="utf-8"))))
+    assert all(len(row) == 5 for row in rows)
+    assert [row[0] for row in rows[1:]] == [label for label in labels for _ in range(20)]

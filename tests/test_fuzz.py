@@ -1,8 +1,8 @@
 """Seeded mutation fuzz of every file the CLI reads.
 
-A small simulated trace, its registry and topology, a counters file, two
-config files and the sample rules are mutated one at a time and fed back
-through ``cli.main``: truncated, bytes flipped, a value swapped for one of
+A small simulated trace, its registry, a topology (read by ``simulate`` and
+by ``detect``), a counters file, two config files and the sample rules are
+mutated one at a time and fed back through ``cli.main``: truncated, bytes flipped, a value swapped for one of
 another type, ``1e400`` or a huge integer written in, or nested deeply.
 Whatever the bytes, the run ends with a documented exit code, prints no
 traceback, exits 1 only for a high-severity alert, and finishes in bounded
@@ -55,6 +55,7 @@ TARGETS = {
     "trace": ("jsonl", "trace.jsonl"),
     "registry": ("json", "registry.json"),
     "topology": ("json", "topology.json"),
+    "simulate-topology": ("json", "sim-topology.json"),
     "counters": ("json", "counters.json"),
     "rules": ("rules", "sample.rules"),
     "detect-config": ("config", "detect.conf"),
@@ -78,6 +79,7 @@ def originals(tmp_path_factory):
         "trace": trace.read_bytes(),
         "registry": registry.read_bytes(),
         "topology": topology.read_bytes(),
+        "simulate-topology": topology.read_bytes(),
         "counters": counters.read_bytes(),
         "rules": sample_signatures_path().read_bytes(),
         "detect-config": DETECT_CONFIG.encode(),
@@ -153,6 +155,11 @@ def _argv(rng, target, case_dir, files):
                 "--series", str(case_dir / "series.csv")]
     if target == "simulate-config":
         return ["simulate", "--config", str(files["simulate-config"]),
+                "--out", str(case_dir / "t.jsonl"), "--registry-out", str(case_dir / "r.json")]
+    if target == "simulate-topology":
+        return ["simulate", "--scenario", "mixed", "--seed", "3", "--duration", "10",
+                "--rate-dos", "10", "--rate-background", "5",
+                "--topology", str(files["simulate-topology"]),
                 "--out", str(case_dir / "t.jsonl"), "--registry-out", str(case_dir / "r.json")]
     argv = ["detect", "--trace", str(files["trace"]), "--registry", str(files["registry"]),
             "--signatures", str(files["rules"]), "--warmup", "3",

@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import random
 import statistics
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,9 +23,21 @@ from dhcpguard.metrics import (
     render_table,
     save_counters,
 )
-from dhcpguard.netsim import ScenarioKind, default_scenario, legit_server_records, run_scenario
+from dhcpguard.anomaly import AnomalyConfig
+from dhcpguard.netsim import (
+    AttackClass,
+    DhcpPayload,
+    NodeSpec,
+    Role,
+    ScenarioKind,
+    default_scenario,
+    legit_server_records,
+    run_scenario,
+)
 from dhcpguard.pipeline import DhcpRegistry, Pipeline, Policy, run_detection
-from dhcpguard.signatures import load_signatures, sample_signatures_path
+from dhcpguard.signatures import Direction, SignatureDb, load_signatures, sample_signatures_path
+
+from test_acceptance import _random_trace
 
 
 # -- formulas -------------------------------------------------------------------
@@ -113,6 +128,106 @@ def test_report_on_empty_trace_has_null_percentages():
     assert report.overall_probability is None
     assert report.efficiency is None
     assert report.packet_analysis_capacity is None
+
+
+def _route_recount(events, alerts, db):
+    """The report's route figures recounted from the trace and the alert log alone.
+
+    An attack is signature-route when any rule's pattern occurs in its
+    payload, whatever the rule's direction; it is captured when an alert
+    names it as its event.
+    """
+    alerted = {alert.evidence[0] for alert in alerts}
+    tally = {column: Counter() for column in (
+        "generated", "captured", "generated_signature", "generated_anomaly",
+        "captured_signature", "captured_anomaly")}
+    for index, event in enumerate(events):
+        if event.ground_truth is AttackClass.NONE:
+            continue
+        payload = event.payload
+        data = payload.raw if isinstance(payload, DhcpPayload) else payload.payload_pattern
+        route = "signature" if any(sig.pattern in data for sig in db) else "anomaly"
+        columns = ["generated", f"generated_{route}"]
+        if index in alerted:
+            columns += ["captured", f"captured_{route}"]
+        for column in columns:
+            tally[column][event.ground_truth.value] += 1
+    recount = {column: dict(counts) for column, counts in tally.items()}
+    tga = sum(tally["generated"].values())
+    recount["tga"] = tga
+    recount["tsa"] = sum(tally["generated_signature"].values())
+    recount["taa"] = sum(tally["generated_anomaly"].values())
+    recount["msa"] = recount["tsa"] - sum(tally["captured_signature"].values())
+    recount["maa"] = recount["taa"] - sum(tally["captured_anomaly"].values())
+    captured = sum(tally["captured"].values())
+    recount["efficiency"] = captured * 100.0 / tga if tga else None
+    return recount
+
+
+def _assert_route_accounting(events, result, db):
+    """The report's route figures equal the recount; returns the report."""
+    report = build_report(result)
+    recount = _route_recount(events, result.alerts, db)
+    for column in ("generated", "captured", "generated_signature", "generated_anomaly",
+                   "captured_signature", "captured_anomaly"):
+        counts = getattr(report, column)
+        assert {"dos", "u2r", "r2l", "probe"} <= counts.keys(), column
+        assert {cls: n for cls, n in counts.items() if n} == recount[column], column
+    for name in ("tga", "tsa", "taa", "msa", "maa", "efficiency"):
+        assert getattr(report, name) == recount[name], name
+    return report
+
+
+def _redirected_rules(rng):
+    """The sample rules, each with a random direction.
+
+    A rule that cannot fire on an event's direction still puts the event
+    on the signature route, so both routes get missed attacks.
+    """
+    return SignatureDb([dataclasses.replace(sig, direction=rng.choice(list(Direction)))
+                        for sig in load_signatures(sample_signatures_path())])
+
+
+def test_route_accounting_matches_a_recount_on_every_scenario_kind():
+    rng = random.Random(41)
+    reports = []
+    for kind in ScenarioKind:
+        scenario = default_scenario(kind, seed=rng.randrange(1000),
+                                    duration=round(rng.uniform(5.0, 20.0), 2),
+                                    sig_share=rng.random())
+        trace = run_scenario(scenario)
+        registry = DhcpRegistry.from_records(legit_server_records(trace.topology))
+        db = _redirected_rules(rng)
+        policy = Policy(version=1, registry=registry, signatures=db,
+                        anomaly=AnomalyConfig(warmup=rng.randint(1, 10),
+                                              window=rng.choice((0.5, 1.0, 2.0))))
+        result = run_detection(trace.events, Pipeline(policy, {n.id: n for n in trace.topology}),
+                               duration=trace.duration, block=rng.random() < 0.5)
+        assert result.tga > 0, kind
+        reports.append(_assert_route_accounting(trace.events, result, db))
+    assert any(r.tsa for r in reports) and any(r.maa for r in reports)
+
+
+def test_route_accounting_matches_a_recount_on_random_traces():
+    # criterion 7's traces, under the sample rules and under redirected ones
+    traces, rng = random.Random(321), random.Random(322)
+    registry = DhcpRegistry.from_records([{
+        "server_id": "10.0.0.2", "mac": "02:00:00:00:00:01",
+        "gateway": "10.0.0.1", "dns": "10.0.0.1"}])
+    sample = load_signatures(sample_signatures_path())
+    reports = []
+    for _ in range(100):
+        events = _random_trace(traces)
+        pipe = Pipeline(Policy(version=1, registry=registry, signatures=sample))
+        result = run_detection(events, pipe, duration=events[-1].time)
+        reports.append(_assert_route_accounting(events, result, sample))
+
+        db = _redirected_rules(rng)
+        nodes = {i: NodeSpec(i, rng.choice((Role.CLIENT, Role.ROUTER))) for i in range(6)}
+        pipe = Pipeline(Policy(version=1, registry=registry, signatures=db), nodes)
+        result = run_detection(events, pipe, duration=events[-1].time)
+        reports.append(_assert_route_accounting(events, result, db))
+    assert any(r.msa for r in reports) and any(r.maa for r in reports)
 
 
 def test_report_internal_consistency():

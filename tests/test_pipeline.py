@@ -17,6 +17,7 @@ from dhcpguard.dhcp import (
     format_ipv4,
     parse_ipv4,
 )
+from dhcpguard.metrics import build_report
 from dhcpguard.netsim import (
     ATTACKER_IP,
     BROADCAST,
@@ -514,7 +515,8 @@ def test_rogue_race_detection_counts():
     assert result.counters.tp >= 1
     assert result.alerts_by_layer.get("verifier", 0) >= 6
     assert result.counters.total == result.analyzed
-    assert result.generated["rogue_dhcp"] == result.captured["rogue_dhcp"]
+    report = build_report(result)
+    assert report.generated["rogue_dhcp"] == report.captured["rogue_dhcp"]
 
 
 def test_route_split_ignores_rule_direction():
@@ -528,8 +530,8 @@ def test_route_split_ignores_rule_direction():
     pipe = Pipeline(_policy(signatures=db), nodes)
     result = run_detection(events, pipe, duration=1.0)
     assert result.alerts_by_layer.get("signature", 0) == 0
-    assert result.generated_signature["u2r"] == 1
-    assert result.generated_anomaly["u2r"] == 1
+    assert build_report(result).generated_signature["u2r"] == 1
+    assert build_report(result).generated_anomaly["u2r"] == 1
 
 
 def test_malformed_lines_count_as_received_only():
@@ -552,8 +554,9 @@ def test_counter_conservation_and_determinism():
     assert first.counters.total == len(trace.events)
     assert first.alerts == second.alerts
     assert first.counters.as_dict() == second.counters.as_dict()
-    assert first.tsa + first.taa == first.tga
-    assert first.msa <= first.tsa and first.maa <= first.taa
+    report = build_report(first)
+    assert report.tsa + report.taa == first.tga
+    assert report.msa <= report.tsa and report.maa <= report.taa
 
 
 def test_alert_signs_identify_their_layer():
