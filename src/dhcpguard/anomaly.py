@@ -53,11 +53,6 @@ class Outcome(str, Enum):
     TN = "tn"
     FN = "fn"
 
-    @property
-    def is_real_attack(self) -> bool:
-        """TP and FN are the outcomes that stand for an actual attack."""
-        return self in (Outcome.TP, Outcome.FN)
-
 
 class SignVerdict(str, Enum):
     ATTACK = "attack"

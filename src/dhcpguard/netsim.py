@@ -709,11 +709,21 @@ def _node_to_json(node: NodeSpec) -> dict:
     }
 
 
-def _node_from_json(data: dict) -> NodeSpec:
+def _node_from_json(data) -> NodeSpec:
+    """One node of a topology list; a malformed field raises naming it."""
+    if not isinstance(data, dict):
+        raise ValueError("node must be an object")
+    role, position = data["role"], data["position"]
+    roles = [r.value for r in Role]
+    if role not in roles:
+        raise ValueError(f"role must be one of {', '.join(roles)}, got {role!r}")
+    if not (isinstance(position, list) and len(position) == 2
+            and all(isinstance(v, (int, float)) for v in position)):
+        raise ValueError(f"position must be a list of two numbers, got {position!r}")
     return NodeSpec(
         id=int(data["id"]),
-        role=Role(data["role"]),
-        position=(float(data["position"][0]), float(data["position"][1])),
+        role=Role(role),
+        position=(float(position[0]), float(position[1])),
         radio_range=float(data["radio_range"]),
         link_latency=float(data["link_latency"]),
     )
@@ -819,11 +829,16 @@ def _nodes_from_json(nodes) -> list[NodeSpec]:
     if not isinstance(nodes, list):
         raise ValueError(f"topology must be a list of nodes, got {nodes!r}")
     topology = []
+    index_of: dict[int, int] = {}
     for i, node in enumerate(nodes):
         try:
-            topology.append(_node_from_json(node))
+            spec = _node_from_json(node)
         except INPUT_ERRORS as exc:
             raise ValueError(f"topology node {i}: {_input_error(exc)}") from None
+        if spec.id in index_of:
+            raise ValueError(f"topology nodes {index_of[spec.id]} and {i} share id {spec.id}")
+        index_of[spec.id] = i
+        topology.append(spec)
     return topology
 
 

@@ -230,27 +230,27 @@ class IngredientConfig:
 
 @dataclass(frozen=True, slots=True)
 class Violation:
+    """One ingredient's verdict: no text, just what the alert needs.
+
+    ``related`` holds the unanswered REQUEST's index for a retransmission
+    failure and is empty for every other verdict.
+    """
+
     ingredient: Ingredient
     attack_class: AlertClass
     severity: Severity
-    detail: str
     related: tuple[int, ...] = ()
 
 
-_VIOLATION_SEVERITY = {
-    AlertClass.TAMPER: Severity.HIGH,
-    AlertClass.EXHAUSTION: Severity.HIGH,
-    AlertClass.NEGLIGENCE: Severity.LOW,
-    AlertClass.FLOODING: Severity.HIGH,
-    AlertClass.RETRANSMISSION_FAILURE: Severity.LOW,
-    AlertClass.RANGE_VIOLATION: Severity.MEDIUM,
-    AlertClass.PATTERN_REPLICATION: Severity.MEDIUM,
-}
-
-
-def _violation(ingredient: Ingredient, attack_class: AlertClass, detail: str,
-               related: tuple[int, ...] = ()) -> Violation:
-    return Violation(ingredient, attack_class, _VIOLATION_SEVERITY[attack_class], detail, related)
+# Every verdict but a retransmission failure is fixed by its ingredient
+# alone, so one shared instance stands for each.
+TAMPER = Violation(Ingredient.VALIDITY, AlertClass.TAMPER, Severity.HIGH)
+EXHAUSTION = Violation(Ingredient.TIME_INTERVAL, AlertClass.EXHAUSTION, Severity.HIGH)
+NEGLIGENCE = Violation(Ingredient.TIME_INTERVAL, AlertClass.NEGLIGENCE, Severity.LOW)
+FLOODING = Violation(Ingredient.FLOODING, AlertClass.FLOODING, Severity.HIGH)
+RANGE_VIOLATION = Violation(Ingredient.RADIO_RANGE, AlertClass.RANGE_VIOLATION, Severity.MEDIUM)
+PATTERN_REPLICATION = Violation(Ingredient.PATTERN_REPLICATION, AlertClass.PATTERN_REPLICATION,
+                                Severity.MEDIUM)
 
 
 class SlidingWindow:
@@ -353,14 +353,8 @@ class SlidingWindow:
         if src_node is None or dst_node is None:
             return None
         verdict = None
-        distance = dist(src_node.position, dst_node.position)
-        if distance > src_node.radio_range:
-            verdict = _violation(
-                Ingredient.RADIO_RANGE,
-                AlertClass.RANGE_VIOLATION,
-                f"node {src} reached {distance:.1f} units, beyond its "
-                f"radio range {src_node.radio_range:.1f}",
-            )
+        if dist(src_node.position, dst_node.position) > src_node.radio_range:
+            verdict = RANGE_VIOLATION
         self._range_verdicts[pair] = verdict
         return verdict
 
@@ -378,42 +372,22 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
 
     # a. validity
     if view.tampered:
-        violations.append(_violation(Ingredient.VALIDITY, AlertClass.TAMPER,
-                                     "DHCP frame failed its checksum"))
+        violations.append(TAMPER)
 
     # b. time interval: exhaustion then negligence
-    allowed = cfg.max_rate * cfg.window
-    if count > allowed:
-        violations.append(_violation(
-            Ingredient.TIME_INTERVAL,
-            AlertClass.EXHAUSTION,
-            f"source {src} sent {count} events in {cfg.window}s (limit {allowed:.0f})",
-        ))
+    if count > cfg.max_rate * cfg.window:
+        violations.append(EXHAUSTION)
     if last is not None and now - last > cfg.max_gap:
-        violations.append(_violation(
-            Ingredient.TIME_INTERVAL,
-            AlertClass.NEGLIGENCE,
-            f"source {src} silent for {now - last:.3f}s (max_gap {cfg.max_gap}s)",
-        ))
+        violations.append(NEGLIGENCE)
 
     # c. flooding
     if total > cfg.flood_threshold:
-        violations.append(_violation(
-            Ingredient.FLOODING,
-            AlertClass.FLOODING,
-            f"{total} events in {cfg.window}s across all sources "
-            f"(limit {cfg.flood_threshold})",
-        ))
+        violations.append(FLOODING)
 
     # d. retransmission: expectations that expired before this event
-    for xid, idx in expired:
-        violations.append(_violation(
-            Ingredient.RETRANSMISSION,
-            AlertClass.RETRANSMISSION_FAILURE,
-            f"REQUEST xid={xid:#x} neither answered nor retried within "
-            f"{cfg.retransmit_timeout}s",
-            related=(idx,),
-        ))
+    for _, idx in expired:
+        violations.append(Violation(Ingredient.RETRANSMISSION,
+                                    AlertClass.RETRANSMISSION_FAILURE, Severity.LOW, (idx,)))
 
     # e. radio range
     if event.dst != BROADCAST:
@@ -423,12 +397,7 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
 
     # f. pattern replication
     if repeats > cfg.replication_limit:
-        violations.append(_violation(
-            Ingredient.PATTERN_REPLICATION,
-            AlertClass.PATTERN_REPLICATION,
-            f"identical payload seen {repeats} times in {cfg.window}s "
-            f"(limit {cfg.replication_limit})",
-        ))
+        violations.append(PATTERN_REPLICATION)
 
     # retransmission bookkeeping for the current event; a frame that did
     # not decode, tampered or not, carries no message to book

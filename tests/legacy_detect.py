@@ -61,16 +61,9 @@ class SlidingWindow(_SlidingWindow):
         src_node, dst_node = self.nodes.get(src), self.nodes.get(dst)
         if src_node is None or dst_node is None:
             return None
-        distance = dist(src_node.position, dst_node.position)
-        if distance <= src_node.radio_range:
+        if dist(src_node.position, dst_node.position) <= src_node.radio_range:
             return None
-        return Violation(
-            Ingredient.RADIO_RANGE,
-            AlertClass.RANGE_VIOLATION,
-            Severity.MEDIUM,
-            f"node {src} reached {distance:.1f} units, beyond its "
-            f"radio range {src_node.radio_range:.1f}",
-        )
+        return Violation(Ingredient.RADIO_RANGE, AlertClass.RANGE_VIOLATION, Severity.MEDIUM)
 
 
 def event_from_json(data):

@@ -122,9 +122,6 @@ def test_classify_matrix(alarm, truth, expected):
 def test_classification_totality_and_forwarding():
     outcomes = {classify(a, t) for a in (True, False) for t in (True, False)}
     assert outcomes == {Outcome.TP, Outcome.FP, Outcome.TN, Outcome.FN}
-    # only TP and FN stand for real attacks handed upward
-    assert Outcome.TP.is_real_attack and Outcome.FN.is_real_attack
-    assert not Outcome.FP.is_real_attack and not Outcome.TN.is_real_attack
 
 
 def test_counters_sum():

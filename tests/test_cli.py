@@ -544,6 +544,37 @@ def test_refuses_node_ids_that_have_no_mac(tmp_path, capsys, source, node_id):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["simulate", "detect", "header"])
+def test_refuses_duplicate_node_ids(tmp_path, capsys, source):
+    # The last node with an id used to win in detect: a copy of the attacker
+    # under the router's id 0 moved this trace from tp=460 fp=0 to tp=835
+    # fp=25, exit 1, and simulate named neither the file nor the nodes.
+    trace, reg = _simulate(tmp_path, scenario="mixed", seed=1, duration=10)
+    nodes = json.loads(trace.read_text().splitlines()[0])["topology"]
+    first = next(i for i, node in enumerate(nodes) if node["id"] == 0)
+    nodes.append(dict(next(node for node in nodes if node["role"] == "attacker"), id=0))
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"nodes": nodes}))
+    out = tmp_path / "out"
+    argv = ["detect", "--trace", str(trace), "--registry", str(reg),
+            "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(out)]
+    if source == "simulate":
+        argv = ["simulate", "--scenario", "mixed", "--seed", "1", "--duration", "10",
+                "--topology", str(topology), "--out", str(out)]
+    elif source == "detect":
+        argv += ["--topology", str(topology)]
+    else:
+        _rewrite_lines(trace, {0: lambda header: dict(header, topology=nodes)})
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    for needle in (str(trace if source == "header" else topology),
+                   f"topology nodes {first} and {len(nodes) - 1} share id 0"):
+        assert needle in captured.err
+    assert not out.exists()
+
+
 def test_report_refuses_a_label_an_earlier_file_used(tmp_path, capsys):
     # Both traces are named trace.jsonl, so both runs default to the label
     # "trace": the series CSV used to hold one run's rows instead of both.

@@ -52,7 +52,7 @@ def _records():
         Alert(1.0, Layer.VERIFIER, AlertClass.ROGUE_DHCP, Severity.HIGH, (0,), "VR-ROGUE"),
         make_view(event, 0),
         make_view(SimEvent(2.0, 1, 4, dhcp), 1),
-        Violation(Ingredient.FLOODING, AlertClass.FLOODING, Severity.HIGH, "too many"),
+        Violation(Ingredient.FLOODING, AlertClass.FLOODING, Severity.HIGH),
     ]
 
 

@@ -318,6 +318,34 @@ def test_topology_file_round_trip(tmp_path):
     assert load_topology(path) == sorted(topo, key=lambda n: n.id)
 
 
+_NODE = ('{"id": 3, "role": "client", "position": [1.0, 2.0], "radio_range": 50.0, '
+         '"link_latency": 0.01}')
+
+
+@pytest.mark.parametrize("node, needle", [
+    (_NODE.replace("[1.0, 2.0]", "[]"), "topology node 1: position must be"),
+    (_NODE.replace("[1.0, 2.0]", "7"), "topology node 1: position must be"),
+    ("7", "topology node 1: node must be an object"),
+    (_NODE.replace('"client"', "-1e400"), "topology node 1: role must be one of"),
+], ids=["empty-position", "number-position", "number-node", "infinite-role"])
+def test_topology_errors_name_the_node_and_field(tmp_path, node, needle):
+    # These used to read "list index out of range", "'int' object is not
+    # subscriptable" and "-inf is not a valid Role".
+    path = tmp_path / "topo.json"
+    path.write_text('{"nodes": [%s, %s]}' % (_NODE.replace('"id": 3', '"id": 0'), node))
+    with pytest.raises(ValueError) as info:
+        load_topology(path)
+    assert str(info.value).startswith(f"{path}: {needle}")
+
+
+def test_topology_refuses_duplicate_node_ids(tmp_path):
+    path = tmp_path / "topo.json"
+    nodes = [_NODE.replace('"id": 3', '"id": %d' % i) for i in (3, 0, 1, 0)]
+    path.write_text('{"nodes": [%s]}' % ", ".join(nodes))
+    with pytest.raises(ValueError, match=r": topology nodes 1 and 3 share id 0$"):
+        load_topology(path)
+
+
 def test_legit_server_records_shape():
     topo = default_topology(ScenarioKind.ROGUE_RACE, clients=2)
     records = legit_server_records(topo)

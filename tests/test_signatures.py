@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from dhcpguard import signatures
 from dhcpguard.alerts import AlertClass
 from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, encode_message, parse_ipv4
 from dhcpguard.netsim import (
@@ -12,7 +14,10 @@ from dhcpguard.netsim import (
     NodeSpec,
     Proto,
     Role,
+    ScenarioKind,
     SimEvent,
+    default_scenario,
+    run_scenario,
 )
 from dhcpguard.signatures import (
     Direction,
@@ -23,6 +28,7 @@ from dhcpguard.signatures import (
     SignatureDb,
     SignatureParseError,
     SlidingWindow,
+    Violation,
     eval_ingredients,
     load_signatures,
     make_view,
@@ -382,7 +388,7 @@ def test_a_window_below_float_resolution_still_counts_the_event_itself():
     for i, t in enumerate([1e5, 1e5, 1e5, 1e5 + 1.0]):
         violations = eval_ingredients(cfg, w, gview(i, t, pattern=b"p%d" % i))
         assert _classes(violations) == [AlertClass.EXHAUSTION]
-        assert "sent 1 events" in violations[0].detail
+        assert w._src_counts[1] == 1  # the source sent this one event in the window
 
 
 def test_evaluation_is_pure():
@@ -420,6 +426,34 @@ def test_each_ingredient_maps_to_one_alert_class():
     assert seen
     for violation in seen:
         assert violation.attack_class in mapping[violation.ingredient]
+
+
+def test_only_a_retransmission_failure_is_built_per_event():
+    # A verdict carries no text: every one but a retransmission failure is
+    # fixed by its ingredient, so it is that ingredient's shared instance.
+    shared = (signatures.TAMPER, signatures.EXHAUSTION, signatures.NEGLIGENCE,
+              signatures.FLOODING, signatures.RANGE_VIOLATION, signatures.PATTERN_REPLICATION)
+    assert [f.name for f in dataclasses.fields(Violation)] == [
+        "ingredient", "attack_class", "severity", "related"]
+    cfg = _cfg(max_rate=5.0, max_gap=2.0, flood_threshold=20, retransmit_timeout=0.5,
+               replication_limit=3)
+    seen = set()
+    for kind in ScenarioKind:
+        trace = run_scenario(default_scenario(kind, seed=3, duration=20.0, tamper=True,
+                                              rogue_answers_requests=False))
+        nodes = {n.id: n for n in trace.topology}
+        w = SlidingWindow(nodes)
+        for i, event in enumerate(trace.events):
+            for violation in eval_ingredients(cfg, w, make_view(event, i, nodes)):
+                seen.add(violation.ingredient)
+                if violation.ingredient is Ingredient.RETRANSMISSION:
+                    (request,) = violation.related
+                    assert request < i
+                    assert trace.events[request].payload.message.msg_type is MsgType.REQUEST
+                else:
+                    assert any(violation is verdict for verdict in shared)
+                    assert violation.related == ()
+    assert seen == set(Ingredient)
 
 
 def test_config_validation():
