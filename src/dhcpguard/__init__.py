@@ -18,7 +18,6 @@ from .anomaly import (
     SignVerdict,
     classify,
     sign_of_attack,
-    window_classification,
 )
 from .dhcp import (
     AddressPool,

@@ -81,13 +81,3 @@ class Alert:
             "unique_sign": self.unique_sign,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Alert":
-        return cls(
-            time=float(data["time"]),
-            layer=Layer(data["layer"]),
-            attack_class=AlertClass(data["attack_class"]),
-            severity=Severity(data["severity"]),
-            evidence=tuple(int(i) for i in data["evidence"]),
-            unique_sign=str(data["unique_sign"]),
-        )

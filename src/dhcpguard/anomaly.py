@@ -30,7 +30,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .netsim import AttackClass, GenericPayload, SimEvent
 
@@ -208,7 +208,10 @@ def traffic_metrics(count: int, size_sum: int, sources: int, window: float) -> d
 
 
 class TrailingWindow:
-    """Per-event metrics over the generic events of the last ``window`` seconds."""
+    """Per-event metrics over the generic events of the last ``window`` seconds.
+
+    Pruned in arrival order, like the ingredients' ``SlidingWindow``.
+    """
 
     def __init__(self):
         self._events: deque[tuple[float, int, int]] = deque()
@@ -216,7 +219,8 @@ class TrailingWindow:
         self._sources: Counter = Counter()
 
     def add(self, time: float, size: int, src: int, window: float) -> dict[str, float]:
-        """Add one event, drop those at or before ``time - window``, return the metrics."""
+        """Add one event, drop the oldest arrival while it lies at or before
+        ``time - window``, and return the metrics."""
         self._events.append((time, size, src))
         self._size_sum += size
         self._sources[src] += 1
@@ -289,10 +293,3 @@ class WindowTracker:
             self._attack = True
         return self._trailing.add(event.time, payload.size_bytes, event.src, self.config.window)
 
-
-def window_classification(events: Iterable[SimEvent], config: AnomalyConfig) -> WindowTracker:
-    """Run the tumbling-window classification over a finished trace."""
-    tracker = WindowTracker(config)
-    for event in events:
-        tracker.add_event(event)
-    return tracker

@@ -33,6 +33,7 @@ import heapq
 import json
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -709,24 +710,29 @@ def _node_to_json(node: NodeSpec) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A JSON number a float can hold; a bool is not one."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
+
+
 def _node_from_json(data) -> NodeSpec:
-    """One node of a topology list; a malformed field raises naming it."""
+    """One node of a topology list; a malformed field raises naming it and its value."""
     if not isinstance(data, dict):
         raise ValueError("node must be an object")
-    role, position = data["role"], data["position"]
+    node_id, role, position = data["id"], data["role"], data["position"]
+    if not isinstance(node_id, int) or isinstance(node_id, bool):
+        raise ValueError(f"id must be an integer, got {node_id!r}")
     roles = [r.value for r in Role]
     if role not in roles:
         raise ValueError(f"role must be one of {', '.join(roles)}, got {role!r}")
-    if not (isinstance(position, list) and len(position) == 2
-            and all(isinstance(v, (int, float)) for v in position)):
+    if not (isinstance(position, list) and len(position) == 2 and all(map(_is_number, position))):
         raise ValueError(f"position must be a list of two numbers, got {position!r}")
-    return NodeSpec(
-        id=int(data["id"]),
-        role=Role(role),
-        position=(float(position[0]), float(position[1])),
-        radio_range=float(data["radio_range"]),
-        link_latency=float(data["link_latency"]),
-    )
+    for key in ("radio_range", "link_latency"):
+        if not _is_number(data[key]):
+            raise ValueError(f"{key} must be a number, got {data[key]!r}")
+    return NodeSpec(node_id, Role(role), (float(position[0]), float(position[1])),
+                    float(data["radio_range"]), float(data["link_latency"]))
 
 
 def event_to_json(ev: SimEvent) -> dict:

@@ -190,7 +190,6 @@ class Pipeline:
         self._window = SlidingWindow(self.nodes)
         self.window_tracker = WindowTracker(policy.anomaly)
         self._stops: Counter = Counter()  # consulted-layer tuple -> events
-        self.last_consulted: tuple[Layer, ...] = ()
 
     @property
     def policy(self) -> Policy:
@@ -285,9 +284,6 @@ class Pipeline:
 
     # -- event entry point ----------------------------------------------
 
-    def process_event(self, event: SimEvent, index: int = 0) -> Optional[Alert]:
-        return self.process_view(make_view(event, index, self.nodes))
-
     def process_view(self, view: EventView) -> Optional[Alert]:
         policy = self._policy
         # Traffic bookkeeping precedes every verdict: the sliding window has
@@ -303,7 +299,6 @@ class Pipeline:
             if alert is None:
                 consulted = _ALL_LAYERS
                 alert = self._anomaly_layer(view)
-        self.last_consulted = consulted
         self._stops[consulted] += 1
         return alert
 
@@ -423,12 +418,3 @@ def write_alerts(alerts: Iterable[Alert], path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for alert in alerts:
             fh.write(json.dumps(alert.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def read_alerts(path: Union[str, Path]) -> list[Alert]:
-    alerts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                alerts.append(Alert.from_json(json.loads(line)))
-    return alerts

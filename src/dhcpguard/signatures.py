@@ -256,12 +256,13 @@ PATTERN_REPLICATION = Violation(Ingredient.PATTERN_REPLICATION, AlertClass.PATTE
 class SlidingWindow:
     """Recent-traffic state feeding the parameterized checks.
 
-    Holds only events newer than ``now - window``, with ``window`` passed
-    to :meth:`add` from the policy in force; per-source counts and
-    identical-payload counts are maintained incrementally.  ``nodes``
-    supplies positions for the radio-range check and may be ``None``; it
-    must not change afterwards, because range verdicts are cached per
-    ``(src, dst)`` pair of known nodes.
+    Holds events in arrival order; each :meth:`add` drops the oldest
+    arrival while it lies at or before ``now - window`` (``window`` from
+    the policy in force), so an out-of-order time can outstay the window.
+    Per-source and identical-payload counts are maintained
+    incrementally.  ``nodes`` supplies positions for the radio-range
+    check and may be ``None``; it must not change afterwards, because
+    range verdicts are cached per ``(src, dst)`` pair of known nodes.
 
     Pending REQUESTs sit in a dict keyed by xid and in a heap of
     ``(deadline, seq, xid)``; a heap entry whose xid was answered,
@@ -280,7 +281,7 @@ class SlidingWindow:
         self._range_verdicts: dict[tuple[int, int], Optional[Violation]] = {}
 
     def add(self, time: float, src: int, pattern: bytes, window: float) -> tuple[int, int, int]:
-        """Drop events at or before ``time - window``, then record this one.
+        """Drop the oldest arrival while it lies at or before ``time - window``, then add this one.
 
         Returns the events in the window, those from ``src`` and the
         copies of ``pattern``, this event included.
@@ -306,8 +307,8 @@ class SlidingWindow:
         self._last_seen[src] = now
         return last
 
-    def pop_expired_expectations(self, now: float) -> list[tuple[int, int]]:
-        """``(xid, index)`` of pending REQUESTs whose deadline is before ``now``.
+    def pop_expired_expectations(self, now: float) -> list[int]:
+        """Event indices of the pending REQUESTs whose deadline is before ``now``.
 
         They are listed in the order the REQUESTs were noted, whatever
         their deadlines, since the timeout may change between requests.
@@ -316,15 +317,15 @@ class SlidingWindow:
         if not heap or heap[0][0] >= now:
             return []
         expected = self._expected
-        due: list[tuple[int, int, int]] = []
+        due: list[tuple[int, int]] = []
         while heap and heap[0][0] < now:
             _, seq, xid = heapq.heappop(heap)
             pending = expected.get(xid)
             if pending is not None and pending[0] == seq:
                 del expected[xid]
-                due.append((seq, xid, pending[1]))
+                due.append(pending)
         due.sort()
-        return [(xid, index) for _, xid, index in due]
+        return [index for _, index in due]
 
     def note_request(self, xid: int, now: float, timeout: float, index: int) -> bool:
         """Track a REQUEST; returns True when it satisfied a pending retry."""
@@ -385,7 +386,7 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
         violations.append(FLOODING)
 
     # d. retransmission: expectations that expired before this event
-    for _, idx in expired:
+    for idx in expired:
         violations.append(Violation(Ingredient.RETRANSMISSION,
                                     AlertClass.RETRANSMISSION_FAILURE, Severity.LOW, (idx,)))
 

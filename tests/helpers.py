@@ -1,0 +1,54 @@
+"""Entry points only the tests use: one event at a time, a whole-trace
+window classification and an alert log read back."""
+
+import json
+
+from dhcpguard.alerts import Alert, AlertClass, Layer, Severity
+from dhcpguard.anomaly import WindowTracker
+from dhcpguard.pipeline import Pipeline
+from dhcpguard.signatures import make_view
+
+
+class EventPipeline(Pipeline):
+    """A pipeline fed one event at a time.
+
+    ``last_consulted`` holds the layers the last event consulted, read
+    from the growth of the pipeline's own ``layer_calls``.
+    """
+
+    last_consulted: tuple = ()
+
+    def process_event(self, event, index=0):
+        before = self.layer_calls
+        alert = self.process_view(make_view(event, index, self.nodes))
+        after = self.layer_calls
+        self.last_consulted = tuple(layer for layer in Layer if after[layer] > before[layer])
+        return alert
+
+
+def window_classification(events, config):
+    """Run the tumbling-window classification over a finished trace."""
+    tracker = WindowTracker(config)
+    for event in events:
+        tracker.add_event(event)
+    return tracker
+
+
+def alert_from_json(data):
+    return Alert(
+        time=float(data["time"]),
+        layer=Layer(data["layer"]),
+        attack_class=AlertClass(data["attack_class"]),
+        severity=Severity(data["severity"]),
+        evidence=tuple(int(i) for i in data["evidence"]),
+        unique_sign=str(data["unique_sign"]),
+    )
+
+
+def read_alerts(path):
+    alerts = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                alerts.append(alert_from_json(json.loads(line)))
+    return alerts

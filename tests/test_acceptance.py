@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from dhcpguard.alerts import Layer
-from dhcpguard.anomaly import AnomalyConfig, SignVerdict, sign_of_attack, window_classification
+from dhcpguard.anomaly import AnomalyConfig, SignVerdict, sign_of_attack
 from dhcpguard.cli import main as cli_main
 from dhcpguard.dhcp import (
     AddressPool,
@@ -38,6 +38,7 @@ from dhcpguard.netsim import (
 from dhcpguard.pipeline import DhcpRegistry, Pipeline, Policy, run_detection
 from dhcpguard.signatures import load_signatures, sample_signatures_path
 
+from helpers import EventPipeline, window_classification
 from test_dhcp import address_extreme_messages, random_message
 
 
@@ -252,7 +253,7 @@ def test_criterion_8b_pool_injectivity_under_random_ops():
 def test_criterion_8c_pipeline_short_circuit_instrumentation():
     with criterion(8, "(c) layer consultation is always a strict prefix chain"):
         trace = run_scenario(default_scenario(ScenarioKind.MIXED, seed=8, duration=20.0))
-        pipe = Pipeline(_policy(_registry_for(trace)), {n.id: n for n in trace.topology})
+        pipe = EventPipeline(_policy(_registry_for(trace)), {n.id: n for n in trace.topology})
         order = (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
         for index, event in enumerate(trace.events):
             alert = pipe.process_event(event, index)

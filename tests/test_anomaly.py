@@ -16,9 +16,10 @@ from dhcpguard.anomaly import (
     classify,
     sign_of_attack,
     traffic_metrics,
-    window_classification,
 )
 from dhcpguard.netsim import AttackClass, ScenarioKind, default_scenario, run_scenario
+
+from helpers import window_classification
 
 
 # -- EWMA baseline -----------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 from dhcpguard.cli import EXIT_HIGH_ALERT, EXIT_OK, EXIT_USAGE, main
 from dhcpguard.netsim import MAX_DURATION, MAX_EVENTS, ScenarioKind
-from dhcpguard.pipeline import REGISTRY_SCHEMA, read_alerts
+from dhcpguard.pipeline import REGISTRY_SCHEMA
+
+from helpers import read_alerts
 
 
 def run_cli(*argv):
@@ -542,6 +544,25 @@ def test_refuses_node_ids_that_have_no_mac(tmp_path, capsys, source, node_id):
     for needle in (str(trace if source == "header" else topology), f"node {index}: id"):
         assert needle in captured.err
     assert not out.exists()
+
+
+def test_detect_refuses_a_node_id_that_is_not_an_integer(tmp_path, capsys):
+    # An id of 3.5 used to be read as node 3: the attacker kept its place and
+    # detect ran on, exit 1.
+    trace, reg = _simulate(tmp_path, scenario="mixed", seed=1, duration=10)
+    nodes = json.loads(trace.read_text().splitlines()[0])["topology"]
+    index = next(i for i, node in enumerate(nodes) if node["role"] == "attacker")
+    nodes[index]["id"] = nodes[index]["id"] + 0.5
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"nodes": nodes}))
+    capsys.readouterr()
+    assert run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                   "--topology", str(topology), "--alerts", str(tmp_path / "a.jsonl"),
+                   "--counters", str(tmp_path / "c.json")) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert f"{topology}: topology node {index}: id must be an integer, got 3.5" in captured.err
+    assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize("source", ["simulate", "detect", "header"])

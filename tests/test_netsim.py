@@ -327,10 +327,25 @@ _NODE = ('{"id": 3, "role": "client", "position": [1.0, 2.0], "radio_range": 50.
     (_NODE.replace("[1.0, 2.0]", "7"), "topology node 1: position must be"),
     ("7", "topology node 1: node must be an object"),
     (_NODE.replace('"client"', "-1e400"), "topology node 1: role must be one of"),
-], ids=["empty-position", "number-position", "number-node", "infinite-role"])
+    (_NODE.replace('"id": 3', '"id": 1.5'), "topology node 1: id must be an integer, got 1.5"),
+    (_NODE.replace('"id": 3', '"id": true'), "topology node 1: id must be an integer, got True"),
+    (_NODE.replace('"id": 3', '"id": "7"'), "topology node 1: id must be an integer, got '7'"),
+    (_NODE.replace('"id": 3', '"id": "abc"'),
+     "topology node 1: id must be an integer, got 'abc'"),
+    (_NODE.replace("50.0", '"x"'), "topology node 1: radio_range must be a number, got 'x'"),
+    (_NODE.replace("50.0", "1" + "0" * 400),
+     "topology node 1: radio_range must be a number, got 1000"),
+    (_NODE.replace("50.0", "true"), "topology node 1: radio_range must be a number, got True"),
+    (_NODE.replace("0.01", "null"), "topology node 1: link_latency must be a number, got None"),
+    (_NODE.replace("[1.0, 2.0]", "[true, 2.0]"), "topology node 1: position must be"),
+], ids=["empty-position", "number-position", "number-node", "infinite-role", "float-id",
+        "bool-id", "string-id", "text-id", "text-range", "huge-range", "bool-range",
+        "null-latency", "bool-position"])
 def test_topology_errors_name_the_node_and_field(tmp_path, node, needle):
     # These used to read "list index out of range", "'int' object is not
-    # subscriptable" and "-inf is not a valid Role".
+    # subscriptable" and "-inf is not a valid Role".  An id of 1.5, true or
+    # "7" was read as node 1, 1 or 7; "abc", "x", a 401-digit range and a
+    # null latency failed in Python's words, naming no field.
     path = tmp_path / "topo.json"
     path.write_text('{"nodes": [%s, %s]}' % (_NODE.replace('"id": 3', '"id": 0'), node))
     with pytest.raises(ValueError) as info:

@@ -59,7 +59,8 @@ from dhcpguard.signatures import (
     sample_signatures_path,
 )
 
-import legacy_detect as legacy
+import reference_detect as reference
+from helpers import EventPipeline
 
 LEGIT = parse_ipv4("10.0.0.2")
 GATEWAY = parse_ipv4("10.0.0.1")
@@ -168,7 +169,7 @@ def test_alert_sign_must_match_layer():
 
 
 def test_rogue_offer_short_circuits_at_verifier():
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     event = _event(DhcpPayload.from_message(_offer(server_id=ROGUE)),
                    truth=AttackClass.ROGUE_DHCP)
     alert = pipe.process_event(event, index=7)
@@ -181,7 +182,7 @@ def test_rogue_offer_short_circuits_at_verifier():
 
 
 def test_signature_match_stops_before_anomaly():
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     payload = GenericPayload(Proto.TCP, frozenset({"ack"}), 120,
                              b"mail attachment freepics.exe")
     alert = pipe.process_event(_event(payload, truth=AttackClass.R2L))
@@ -191,7 +192,7 @@ def test_signature_match_stops_before_anomaly():
 
 def test_dual_matching_event_reports_signature_layer_only():
     from dhcpguard.anomaly import DISTINCT_SOURCES, MEAN_SIZE, RATE
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     for _ in range(40):  # warm the baselines on quiet traffic
         pipe.window_tracker.baseline.update(
             {RATE: 1.0, MEAN_SIZE: 100.0, DISTINCT_SOURCES: 1.0})
@@ -208,14 +209,14 @@ def test_dual_matching_event_reports_signature_layer_only():
 
 
 def test_benign_event_consults_all_three_layers():
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     payload = GenericPayload(Proto.TCP, frozenset({"ack"}), 120, b"GET /index.html")
     assert pipe.process_event(_event(payload)) is None
     assert pipe.last_consulted == (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
 
 
 def test_valid_offer_passes_through_quietly():
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     assert pipe.process_event(_event(DhcpPayload.from_message(_offer()))) is None
     assert pipe.last_consulted == (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
 
@@ -223,7 +224,7 @@ def test_valid_offer_passes_through_quietly():
 def test_short_circuit_instrumentation_over_mixed_trace():
     trace = run_scenario(default_scenario(ScenarioKind.MIXED, seed=31, duration=20.0))
     registry = DhcpRegistry.from_records(legit_server_records(trace.topology))
-    pipe = Pipeline(_policy(registry=registry), {n.id: n for n in trace.topology})
+    pipe = EventPipeline(_policy(registry=registry), {n.id: n for n in trace.topology})
     for index, event in enumerate(trace.events):
         alert = pipe.process_event(event, index)
         consulted = pipe.last_consulted
@@ -238,7 +239,7 @@ def test_short_circuit_instrumentation_over_mixed_trace():
 def test_verifier_caught_ack_still_answers_its_request():
     # the rogue ACK alerts at the verifier, but it must still count as the
     # answer to the pending REQUEST: no retransmission violation later
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     mac = MacAddr.from_int(0x020000000004)
     request = DhcpMessage(MsgType.REQUEST, 0x77, mac, your_ip=parse_ipv4("10.0.66.100"),
                           server_id=ROGUE)
@@ -283,7 +284,7 @@ _TWO_WINDOW_EVENTS = [
 
 
 def test_anomaly_window_sees_only_generic_events_that_reached_it():
-    pipe = Pipeline(_two_window_policy())
+    pipe = EventPipeline(_two_window_policy())
     samples = []
     exceeded = pipe.window_tracker.baseline.exceeded
 
@@ -306,7 +307,7 @@ def test_anomaly_window_sees_only_generic_events_that_reached_it():
 
 
 def test_flooding_counts_every_event_in_the_ingredient_window():
-    pipe = Pipeline(_two_window_policy(flood_threshold=5))
+    pipe = EventPipeline(_two_window_policy(flood_threshold=5))
     signs = [
         alert.unique_sign if alert else None
         for alert in (pipe.process_event(e, i) for i, e in enumerate(_TWO_WINDOW_EVENTS))
@@ -342,7 +343,7 @@ def test_undecodable_frames_are_neither_tampered_verified_nor_measured(monkeypat
         raise AssertionError("an undecodable frame reached the verifier")
 
     monkeypatch.setattr("dhcpguard.pipeline.verify_dhcp_offer", verify)
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     samples = []
     exceeded = pipe.window_tracker.baseline.exceeded
 
@@ -363,7 +364,7 @@ def test_undecodable_frames_are_neither_tampered_verified_nor_measured(monkeypat
 
 
 def test_only_a_bad_checksum_is_tampering():
-    pipe = Pipeline(_policy())
+    pipe = EventPipeline(_policy())
     payload = DhcpPayload.from_raw(_reframed_request("bad_checksum"))
     assert payload.message is None and payload.error == "bad_checksum"
     alert = pipe.process_event(_event(payload, time=0.0, dst=BROADCAST), 0)
@@ -376,7 +377,7 @@ def test_only_a_bad_checksum_is_tampering():
 
 
 def test_policy_update_allows_previously_rogue_server():
-    pipe = Pipeline(_policy(version=1))
+    pipe = EventPipeline(_policy(version=1))
     rogue_offer = _event(DhcpPayload.from_message(
         _offer(server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP)))
     assert pipe.process_event(rogue_offer) is not None
@@ -390,7 +391,7 @@ def test_policy_update_allows_previously_rogue_server():
     assert pipe.process_event(rogue_offer) is None  # replay now verifies
 
 
-def test_mid_trace_policy_updates_match_the_reference(monkeypatch):
+def test_mid_trace_policy_updates_match_the_reference():
     sc = default_scenario(
         ScenarioKind.ROGUE_RACE, seed=11, duration=60.0, clients=20, lease_secs=10,
         rates={AttackClass.NONE: 30.0, AttackClass.U2R: 3.0, AttackClass.R2L: 3.0,
@@ -409,10 +410,8 @@ def test_mid_trace_policy_updates_match_the_reference(monkeypatch):
     ]
     switch_at = {len(trace.events) * i // 3: p for i, p in enumerate(policies) if i}
 
-    def run(reference):
-        pipe = Pipeline(policies[0], {n.id: n for n in trace.topology})
-        if reference:
-            pipe._window = legacy.SlidingWindow(pipe.nodes)
+    def run():
+        pipe = EventPipeline(policies[0], {n.id: n for n in trace.topology})
         alerts, outcomes = [], Counter()
         for index, event in enumerate(trace.events):
             if index in switch_at:
@@ -423,9 +422,17 @@ def test_mid_trace_policy_updates_match_the_reference(monkeypatch):
             outcomes[alert is not None, event.ground_truth is not AttackClass.NONE] += 1
         return alerts, outcomes, pipe.layer_calls, pipe.window_tracker.counters
 
-    got = run(reference=False)
-    monkeypatch.setattr("dhcpguard.pipeline.match_signature", legacy.match_signature)
-    expected = run(reference=True)
+    def run_reference():
+        ref = reference.detect(trace.events, policies[0], {n.id: n for n in trace.topology},
+                               duration=trace.duration, switches=switch_at)
+        c = ref.result.counters
+        outcomes = Counter({(True, True): c.tp, (True, False): c.fp,
+                            (False, False): c.tn, (False, True): c.fn})
+        alerts = [alert.to_json() for alert in ref.result.alerts]
+        return alerts, outcomes, ref.layer_calls, ref.result.window_counters
+
+    got = run()
+    expected = run_reference()
     assert got == expected
     signs = Counter(alert["unique_sign"] for alert in expected[0])
     for sign in ("SG-ING-retransmission", "SG-ING-radio_range", "SG-003", "SG-005"):
@@ -440,7 +447,7 @@ def test_expired_requests_keep_request_order_across_a_timeout_change():
         return pipe.process_event(_event(DhcpPayload.from_message(msg), time=time), index)
 
     empty = SignatureDb([])
-    pipe = Pipeline(Policy(1, _registry(), empty, IngredientConfig(retransmit_timeout=5.0)))
+    pipe = EventPipeline(Policy(1, _registry(), empty, IngredientConfig(retransmit_timeout=5.0)))
     assert request(0x1, 0.0, 0) is None
     pipe.update_policy(Policy(2, _registry(), empty, IngredientConfig(retransmit_timeout=0.5)))
     assert request(0x2, 1.0, 1) is None
@@ -482,9 +489,9 @@ def test_policy_bump_with_identical_content_is_idempotent():
                truth=AttackClass.ROGUE_DHCP),
         _event(GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"hello"), time=0.3),
     ]
-    first = Pipeline(_policy(version=1))
+    first = EventPipeline(_policy(version=1))
     verdicts_1 = [first.process_event(e, i) for i, e in enumerate(events)]
-    second = Pipeline(_policy(version=1))
+    second = EventPipeline(_policy(version=1))
     second.update_policy(_policy(version=2))
     verdicts_2 = [second.process_event(e, i) for i, e in enumerate(events)]
     assert verdicts_1 == verdicts_2

@@ -36,7 +36,7 @@ from dhcpguard.signatures import (
     sample_signatures_path,
 )
 
-import legacy_detect as legacy
+import reference_detect as reference
 
 
 def gview(index, time, pattern=b"hello", src=1, dst=2, size=100,
@@ -188,7 +188,8 @@ def test_compiled_scan_matches_the_per_rule_loop(seed):
             # dst 2 is inbound, dst 3 outbound, dst 9 of unknown direction
             view = gview(i, 0.0, pattern=payload, src=1, dst=rng.choice([2, 3, 9]), nodes=nodes)
             assert db.matches_any(payload) == any(sig.pattern in payload for sig in db)
-            assert match_signature(db, view) is legacy.match_signature(db, view)
+            expected = reference.first_rule(db, view.pattern, view.direction)
+            assert match_signature(db, view) is expected
 
 
 # -- ingredients ----------------------------------------------------------------
@@ -319,7 +320,7 @@ def test_retried_request_satisfies_the_expectation():
 @pytest.mark.parametrize("seed", range(20))
 def test_deadline_heap_matches_the_dict_scan(seed):
     rng = random.Random(seed)
-    heap, ref = SlidingWindow(), legacy.SlidingWindow()
+    heap, ref = SlidingWindow(), reference.PendingRequests()
     now, timeout = 0.0, 2.0
     for index in range(400):
         # zero and whole-second steps make deadlines tie and land exactly on `now`
@@ -341,13 +342,13 @@ def test_range_verdicts_match_geometry_and_are_cached_per_pair():
     rng = random.Random(4)
     nodes = {i: NodeSpec(i, Role.CLIENT, position=(rng.uniform(0, 50), rng.uniform(0, 50)),
                          radio_range=rng.uniform(0, 40)) for i in range(6)}
-    w, ref = SlidingWindow(nodes), legacy.SlidingWindow(nodes)
+    w = SlidingWindow(nodes)
     verdicts = set()
     for _ in range(2):  # the second pass is answered from the cache
         for src in range(-1, 8):
             for dst in range(-1, 8):
                 got = w.range_violation(src, dst)
-                assert got == ref.range_violation(src, dst)
+                assert got == reference.range_violation(nodes, src, dst)
                 if got is not None:
                     assert w.range_violation(src, dst) is got
                 verdicts.add(got is None)
