@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .anomaly import sign_of_attack
+from .netsim import is_int, is_number
 from .pipeline import DetectionResult
 
 logger = logging.getLogger(__name__)
@@ -121,25 +122,26 @@ class RunReport:
         :class:`ValueError` naming it."""
         if not isinstance(data, dict):
             raise ValueError("'report' must be an object")
+        values = {}
         for f in fields(cls):
-            if not _fits(f.name, f.type, data.get(f.name)):
+            value = data.get(f.name)
+            if not _fits(f.name, f.type, value):
                 raise ValueError(f"report field {f.name!r} must be {f.type}, "
-                                 f"got {type(data.get(f.name)).__name__}")
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+                                 f"got {type(value).__name__}")
+            if f.type == "Optional[float]" and value is not None:
+                value = float(value)  # a JSON integer is a number too
+            values[f.name] = value
+        return cls(**values)
 
 
 def _fits(name: str, kind: str, value) -> bool:
     """Whether ``value`` can stand in the RunReport field ``name`` annotated ``kind``."""
     if kind == "Optional[float]":  # a percentage, or the non-negative st_ratio
         limit = 100.0 if name in _PCT_METRICS else sys.float_info.max
-        return value is None or (isinstance(value, float) and 0.0 <= value <= limit)
+        return value is None or (is_number(value) and 0.0 <= value <= limit)
     if kind == "dict[str, int]":
-        return isinstance(value, dict) and all(map(_is_count, value.values()))
-    return isinstance(value, str) if kind == "str" else _is_count(value)
+        return type(value) is dict and all(map(is_int, value.values()))
+    return type(value) is str if kind == "str" else is_int(value)
 
 
 def _try(fn, *args) -> Optional[float]:
@@ -343,8 +345,8 @@ def save_counters(report: RunReport, result: DetectionResult, path: Union[str, P
 
 def _is_series_row(row) -> bool:
     """``[time, generated, captured]`` with cumulative counts, captured <= generated."""
-    return (isinstance(row, list) and len(row) == 3 and isinstance(row[0], float)
-            and isfinite(row[0]) and _is_count(row[1]) and _is_count(row[2])
+    return (type(row) is list and len(row) == 3 and is_number(row[0])
+            and isfinite(row[0]) and is_int(row[1]) and is_int(row[2])
             and 0 <= row[2] <= row[1])
 
 
@@ -365,4 +367,4 @@ def load_counters(path: Union[str, Path]) -> tuple[RunReport, list[tuple[float, 
                              "rows with 0 <= captured <= generated")
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return report, [(t, g, c) for t, g, c in rows]
+    return report, [(float(t), g, c) for t, g, c in rows]

@@ -66,6 +66,7 @@ BROADCAST = -1
 
 #: bits of a node id: :func:`node_mac` packs it below a one-byte prefix
 NODE_ID_BITS = 40
+_NODE_ID_LIMIT = 1 << NODE_ID_BITS
 
 #: longest simulated or replayed span in seconds; the simulator, the
 #: capture series and the anomaly windows all do work per second of it
@@ -196,7 +197,7 @@ class NodeSpec:
     def __post_init__(self):
         # An id outside the MAC's 40 bits would overflow it or share another
         # node's MAC, and -1 is BROADCAST.
-        if not 0 <= self.id < 1 << NODE_ID_BITS:
+        if not 0 <= self.id < _NODE_ID_LIMIT:
             raise ValueError(f"id must be in [0, 2^{NODE_ID_BITS}), got {self.id}")
         # NaN would turn every distance comparison false and hide range
         # violations, and a negative latency would send replies back in time.
@@ -710,27 +711,48 @@ def _node_to_json(node: NodeSpec) -> dict:
     }
 
 
-def _is_number(value) -> bool:
+# The JSON typing rule of every file the package reads: an integer field
+# takes a JSON integer, a number field a JSON number that a float can hold,
+# and a bool is neither.  JSON decoding yields exact types, so ``type(v) is``
+# tells them apart; the per-line trace reader writes these checks inline.
+
+
+def is_int(value) -> bool:
+    """A JSON integer; a bool is not one."""
+    return type(value) is int
+
+
+def is_number(value) -> bool:
     """A JSON number a float can hold; a bool is not one."""
-    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
-                                        and abs(value) <= sys.float_info.max)
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def refused(name: str, what: str, value) -> ValueError:
+    """The error for a field ``name`` that is not ``what``; a long value is cut short."""
+    shown = repr(value)
+    if len(shown) > 80:
+        shown = shown[:77] + "..."
+    return ValueError(f"{name} must be {what}, got {shown}")
+
+
+def _one_of(enum: type[Enum]) -> str:
+    return "one of " + ", ".join(member.value for member in enum)
 
 
 def _node_from_json(data) -> NodeSpec:
     """One node of a topology list; a malformed field raises naming it and its value."""
-    if not isinstance(data, dict):
-        raise ValueError("node must be an object")
+    if type(data) is not dict:
+        raise refused("node", "an object", data)
     node_id, role, position = data["id"], data["role"], data["position"]
-    if not isinstance(node_id, int) or isinstance(node_id, bool):
-        raise ValueError(f"id must be an integer, got {node_id!r}")
-    roles = [r.value for r in Role]
-    if role not in roles:
-        raise ValueError(f"role must be one of {', '.join(roles)}, got {role!r}")
-    if not (isinstance(position, list) and len(position) == 2 and all(map(_is_number, position))):
-        raise ValueError(f"position must be a list of two numbers, got {position!r}")
+    if not is_int(node_id):
+        raise refused("id", "an integer", node_id)
+    if role not in [r.value for r in Role]:
+        raise refused("role", _one_of(Role), role)
+    if not (type(position) is list and len(position) == 2 and all(map(is_number, position))):
+        raise refused("position", "a list of two numbers", position)
     for key in ("radio_range", "link_latency"):
-        if not _is_number(data[key]):
-            raise ValueError(f"{key} must be a number, got {data[key]!r}")
+        if not is_number(data[key]):
+            raise refused(key, "a number", data[key])
     return NodeSpec(node_id, Role(role), (float(position[0]), float(position[1])),
                     float(data["radio_range"]), float(data["link_latency"]))
 
@@ -765,9 +787,17 @@ _flag_sets: dict[frozenset[str], frozenset[str]] = {}
 
 
 def _flag_set(flags) -> frozenset[str]:
-    flag_set = frozenset(str(f) for f in flags)
+    """The shared frozenset of a ``flags`` field, which must be a list of strings."""
+    try:
+        flag_set = frozenset(flags) if type(flags) is list else None
+    except TypeError:  # an unhashable element
+        flag_set = None
     shared = _flag_sets.get(flag_set)
     if shared is None:
+        # Only sets of strings enter the table, and no other JSON value
+        # equals a string, so a set found there needs no further check.
+        if flag_set is None or not all(type(f) is str for f in flag_set):
+            raise refused("flags", "a list of strings", flags)
         if len(_flag_sets) >= FLAG_SETS_MAX:
             _flag_sets.clear()
         shared = _flag_sets[flag_set] = flag_set
@@ -775,33 +805,64 @@ def _flag_set(flags) -> frozenset[str]:
 
 
 def event_from_json(data: dict) -> SimEvent:
-    time = float(data["time"])
-    if not math.isfinite(time):
-        raise ValueError(f"time must be finite, got {time}")
+    """One trace line's event; a field that breaks its type or bounds raises naming it.
+
+    This runs once per line, so each field is checked inline rather than
+    through a helper call.
+    """
+    if type(data) is not dict:
+        raise refused("event", "an object", data)
+    time = data["time"]
+    if type(time) is not float and is_number(time):
+        time = float(time)
+    if type(time) is not float or not math.isfinite(time):
+        raise refused("time", "a finite number", time)
     payload_data = data["payload"]
+    if type(payload_data) is not dict:
+        raise refused("payload", "an object", payload_data)
     kind = payload_data["kind"]
     if kind == "dhcp":
-        payload: Payload = DhcpPayload.from_raw(bytes.fromhex(payload_data["data"]))
+        hex_data = payload_data["data"]
+        try:
+            raw = bytes.fromhex(hex_data)
+            if 2 * len(raw) != len(hex_data):  # fromhex skips spaces
+                raise ValueError
+        except (TypeError, ValueError):
+            raise refused("data", "a hex string", hex_data) from None
+        payload: Payload = DhcpPayload.from_raw(raw)
     elif kind == "generic":
-        size = int(payload_data["size_bytes"])
-        if not 0 < size <= MAX_SIZE_BYTES:
-            raise ValueError("size_bytes must be in [1, 2^32]")
-        payload = GenericPayload(
-            proto=Proto(payload_data["proto"]),
-            flags=_flag_set(payload_data["flags"]),
-            size_bytes=size,
-            payload_pattern=bytes.fromhex(payload_data["payload_pattern"]),
-        )
+        size = payload_data["size_bytes"]
+        if type(size) is not int or not 0 < size <= MAX_SIZE_BYTES:
+            raise refused("size_bytes", "an integer in [1, 2^32]", size)
+        proto = payload_data["proto"]
+        try:
+            proto = Proto(proto)
+        except ValueError:
+            raise refused("proto", _one_of(Proto), proto) from None
+        hex_pattern = payload_data["payload_pattern"]
+        try:
+            pattern = bytes.fromhex(hex_pattern)
+            if 2 * len(pattern) != len(hex_pattern):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise refused("payload_pattern", "a hex string", hex_pattern) from None
+        payload = GenericPayload(proto, _flag_set(payload_data["flags"]), size, pattern)
     else:
-        raise ValueError(f"unknown payload kind {kind!r}")
+        raise refused("kind", "dhcp or generic", kind)
+    src = data["src"]
+    if type(src) is not int or not 0 <= src < _NODE_ID_LIMIT:
+        raise refused("src", f"an integer in [0, 2^{NODE_ID_BITS})", src)
     dst = data["dst"]
-    return SimEvent(
-        time=time,
-        src=int(data["src"]),
-        dst=BROADCAST if dst == "broadcast" else int(dst),
-        payload=payload,
-        ground_truth=AttackClass(data["ground_truth"]),
-    )
+    if dst == "broadcast":
+        dst = BROADCAST
+    elif type(dst) is not int or not 0 <= dst < _NODE_ID_LIMIT:
+        raise refused("dst", f"an integer in [0, 2^{NODE_ID_BITS}) or broadcast", dst)
+    label = data["ground_truth"]
+    try:
+        label = AttackClass(label)
+    except ValueError:
+        raise refused("ground_truth", _one_of(AttackClass), label) from None
+    return SimEvent(time, src, dst, payload, label)
 
 
 def write_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -818,10 +879,10 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> None:
             fh.write(json.dumps(event_to_json(ev), sort_keys=True, separators=(",", ":")) + "\n")
 
 
-# What decoding hostile JSON can raise besides a bad value, type or key:
-# ``int()`` of a number too large for a float (``1e400`` reads as inf) and
-# nesting deeper than the recursion limit.
-INPUT_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
+# What reading hostile JSON can raise: a missing key, a value of the wrong
+# type or bounds, a document that is not an object where one is indexed,
+# and nesting deeper than the recursion limit.
+INPUT_ERRORS = (LookupError, TypeError, ValueError, RecursionError)
 
 
 def _input_error(exc: Exception) -> str:
@@ -832,8 +893,8 @@ def _input_error(exc: Exception) -> str:
 
 
 def _nodes_from_json(nodes) -> list[NodeSpec]:
-    if not isinstance(nodes, list):
-        raise ValueError(f"topology must be a list of nodes, got {nodes!r}")
+    if type(nodes) is not list:
+        raise refused("topology", "a list of nodes", nodes)
     topology = []
     index_of: dict[int, int] = {}
     for i, node in enumerate(nodes):
@@ -859,16 +920,18 @@ def _read_header(fh, path: Union[str, Path]) -> Trace:
             raise ValueError("not a JSON object")
         if header.get("schema") != TRACE_SCHEMA:
             raise ValueError(f"unsupported schema {header.get('schema')!r}")
-        kind = ScenarioKind(header["kind"])
-        seed = int(header["seed"])
-        duration = float(header["duration"])
+        kind, seed, duration = header["kind"], header["seed"], header["duration"]
+        if kind not in [k.value for k in ScenarioKind]:
+            raise refused("kind", _one_of(ScenarioKind), kind)
+        if not is_int(seed):
+            raise refused("seed", "an integer", seed)
+        if not (is_number(duration) and 0 < duration <= MAX_DURATION):  # NaN included
+            raise refused("duration", f"a number in (0, {MAX_DURATION:g}]", duration)
         topology = _nodes_from_json(header.get("topology", []))
     except INPUT_ERRORS as exc:
         raise ValueError(f"{path}: bad trace header: {_input_error(exc)}") from None
-    if not 0 < duration <= MAX_DURATION:  # NaN included
-        raise ValueError(
-            f"{path}: duration must be in (0, {MAX_DURATION:g}], got {duration}")
-    return Trace(kind=kind, seed=seed, duration=duration, topology=topology, events=[])
+    return Trace(kind=ScenarioKind(kind), seed=seed, duration=float(duration),
+                 topology=topology, events=[])
 
 
 def read_trace_header(path: Union[str, Path]) -> Trace:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 
 from .alerts import AlertClass, Severity
 from .dhcp import BadChecksum, DhcpMessage, MsgType
-from .netsim import BROADCAST, DhcpPayload, NodeSpec, Role, SimEvent
+from .netsim import BROADCAST, DhcpPayload, NodeSpec, Role, SimEvent, refused
 
 
 class Direction(str, Enum):
@@ -125,6 +125,9 @@ def load_signatures(path: Union[str, Path]) -> SignatureDb:
                     f"{path}:{lineno}: expected 5 |-separated fields, got {len(parts)}", lineno
                 )
             try:
+                # int() would also take "1_0", "+7", "-3" and non-ASCII digits
+                if not (parts[0].isascii() and parts[0].isdigit()):
+                    raise refused("id", "ASCII decimal digits", parts[0])
                 sig_id = int(parts[0])
                 direction = Direction(parts[1])
                 attack_class = AlertClass(parts[2])

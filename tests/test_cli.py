@@ -294,7 +294,7 @@ def test_detect_counts_times_outside_the_trace_span_as_malformed(tmp_path, capsy
 
 
 @pytest.mark.parametrize("duration", [float("inf"), float("nan"), "Infinity", 0, -5.0,
-                                      1e300, MAX_DURATION * 1.01])
+                                      1e300, MAX_DURATION * 1.01, "5", "x", True])
 def test_detect_rejects_bad_trace_duration(tmp_path, capsys, duration):
     trace, reg = _simulate(tmp_path, clients=4)
     _rewrite_lines(trace, {0: lambda header: dict(header, duration=duration)})
@@ -307,6 +307,18 @@ def test_detect_rejects_bad_trace_duration(tmp_path, capsys, duration):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert "duration" in captured.err
+    assert f"{trace}: bad trace header: duration must be a number in (0, " in captured.err
+
+
+def test_detect_reads_a_header_without_topology(tmp_path, capsys):
+    trace, reg = _simulate(tmp_path, duration=5, clients=4)
+    _rewrite_lines(trace, {0: lambda header: _without(header, "topology")})
+    capsys.readouterr()
+    rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
+                 "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(tmp_path / "c.json"))
+    assert rc in (EXIT_OK, EXIT_HIGH_ALERT)
+    report = json.loads((tmp_path / "c.json").read_text())["report"]
+    assert report["analyzed"] == report["received"] == len(trace.read_text().splitlines()) - 1
 
 
 _RECORD = {"server_id": "10.0.0.2", "mac": "02:00:00:00:00:01",
@@ -339,9 +351,20 @@ def _drop_role(header):
     ("trace", _drop_role, ["node 2", "role"]),
     ("trace", lambda header: _without(header, "duration"), ["duration"]),
     ("trace", lambda header: dict(header, topology=None), ["topology"]),
+    ("trace", lambda header: dict(header, seed=1.5), ["header: seed must be an integer, got 1.5"]),
+    ("trace", lambda header: dict(header, seed=True),
+     ["header: seed must be an integer, got True"]),
+    ("trace", lambda header: dict(header, seed="abc"),
+     ["header: seed must be an integer, got 'abc'"]),
+    ("trace", lambda header: dict(header, seed="7"), ["header: seed must be an integer, got '7'"]),
+    ("trace", lambda header: dict(header, kind=5),
+     ["header: kind must be one of rogue-race, ", "got 5"]),
+    ("trace", lambda header: dict(header, kind="Mixed"),
+     ["header: kind must be one of ", "got 'Mixed'"]),
 ], ids=["record-without-dns", "mac-not-text", "record-not-object", "servers-not-list",
         "registry-is-list", "bad-gateway", "header-is-list", "node-without-role",
-        "header-without-duration", "topology-not-list"])
+        "header-without-duration", "topology-not-list", "float-seed", "bool-seed", "text-seed",
+        "digit-text-seed", "number-kind", "capitalised-kind"])
 def test_detect_malformed_registry_or_header_is_a_usage_error(tmp_path, capsys, target,
                                                                broken, needles):
     trace, reg = _simulate(tmp_path, duration=10, clients=4)

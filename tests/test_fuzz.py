@@ -2,8 +2,10 @@
 
 A small simulated trace, its registry, a topology (read by ``simulate`` and
 by ``detect``), a counters file, two config files and the sample rules are
-mutated one at a time and fed back through ``cli.main``: truncated, bytes flipped, a value swapped for one of
-another type, ``1e400`` or a huge integer written in, or nested deeply.
+mutated one file at a time and fed back through ``cli.main``.  Each case
+applies one to three seeded mutations in a row: truncated, bytes flipped, a
+value swapped for one of another type, ``1e400`` or a huge integer written
+in, or nested deeply.
 Whatever the bytes, the run ends with a documented exit code, prints no
 traceback, exits 1 only for a high-severity alert, and finishes in bounded
 time.
@@ -122,15 +124,30 @@ def _replace_text_field(rng, text, separator, raw):
 
 
 def mutate(rng, fmt, data):
-    """One seeded mutation of a file's bytes, and its name."""
-    how = rng.choice(("truncate", "flip", "swap", "huge", "deep"))
+    """One to three seeded mutations of a file's bytes, and their names.
+
+    A mutation that needs the file to parse is skipped once an earlier one
+    has broken it, and so is any mutation of an empty file.
+    """
+    names = []
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(("truncate", "flip", "swap", "huge", "deep"))
+        try:
+            data = _mutate_once(rng, how, fmt, data)
+        except (ValueError, IndexError, RecursionError):  # unparsable or empty
+            how += " (skipped)"
+        names.append(how)
+    return " + ".join(names), data
+
+
+def _mutate_once(rng, how, fmt, data):
     if how == "truncate":
-        return how, data[:rng.randrange(len(data))]
+        return data[:rng.randrange(len(data))]
     if how == "flip":
         out = bytearray(data)
         for _ in range(rng.randint(1, 8)):
             out[rng.randrange(len(out))] ^= rng.randint(1, 255)
-        return how, bytes(out)
+        return bytes(out)
     if how == "swap":
         raw = json.dumps(rng.choice(JSON_SWAPS)) if fmt in ("json", "jsonl") else rng.choice(
             TEXT_SWAPS)
@@ -138,14 +155,14 @@ def mutate(rng, fmt, data):
         raw = rng.choice(HUGE) if how == "huge" else DEEP
     text = data.decode()
     if fmt == "json":
-        return how, _replace_json_value(rng, text, raw).encode()
+        return _replace_json_value(rng, text, raw).encode()
     if fmt == "jsonl":
         lines = text.splitlines()
         index = 0 if rng.random() < 0.3 else rng.randrange(1, len(lines))
         lines[index] = _replace_json_value(rng, lines[index], raw)
-        return how, ("\n".join(lines) + "\n").encode()
+        return ("\n".join(lines) + "\n").encode()
     separator = "|" if fmt == "rules" else "="
-    return how, _replace_text_field(rng, text, separator, raw).encode()
+    return _replace_text_field(rng, text, separator, raw).encode()
 
 
 def _argv(rng, target, case_dir, files):

@@ -120,13 +120,18 @@ def _dhcp(raw):
             "payload": {"kind": "dhcp", "data": raw.hex()}}
 
 
+# Flag values that are not lists of strings.  The reference reader converts
+# them (``[1]`` to {"1"}, ``"ack"`` to {"a", "c", "k"}); the trace reader
+# refuses them.
+UNTYPED_FLAGS = ([1], [True], [[]], "ack", [None], [1.0], {"ack": 1}, [["ack"]])
+
+
 def _hostile_lines():
+    """Lines that the trace reader and the reference reader accept or refuse alike."""
     wire = encode_message(DhcpMessage(MsgType.OFFER, 9, MacAddr.from_int(3), your_ip=10,
                                       server_id=2))
     events = [_generic()]
-    # [1] before [True]: equal lists whose flag sets differ ({"1"}, {"True"}).
-    for flags in ([1], [True], ["1"], [[]], "ack", 5, ["ack", "ack"], ["ack"], [],
-                  ["syn", "ack"], ["ack", "syn"], [None], [1.0], {"ack": 1}, None, [["ack"]]):
+    for flags in (["1"], 5, ["ack", "ack"], ["ack"], [], ["syn", "ack"], ["ack", "syn"], None):
         events.append(_generic(flags=flags))
     for proto in ("tcp", "udp", "icmp", "dns", "smtp", "TCP", "", [], {}, 5, None, True):
         events.append(_generic(proto=proto))
@@ -149,13 +154,32 @@ def test_shared_flag_sets_parse_hostile_lines_as_before(tmp_path, monkeypatch):
     legacy_trace, legacy_malformed = read_trace(path)
 
     assert trace.events == legacy_trace.events
-    assert malformed == legacy_malformed
+    # The same lines are refused.  A reason is the reference's, or it now
+    # names the field at fault where the reference gave Python's wording.
+    assert [lineno for lineno, _ in malformed] == [lineno for lineno, _ in legacy_malformed]
+    for (_, reason), (_, legacy_reason) in zip(malformed, legacy_malformed):
+        assert reason == legacy_reason or reason.startswith(
+            ("flags must be ", "proto must be ", "ground_truth must be ", "event must be "))
     assert len(trace.events) > 10 and len(malformed) > 10
     for new, old in zip(trace.events, legacy_trace.events):
         if isinstance(new.payload, GenericPayload):
             assert type(new.payload.proto) is type(old.payload.proto)
             assert sorted(new.payload.flags) == sorted(old.payload.flags)
         assert type(new.ground_truth) is AttackClass
+
+
+def test_flags_that_are_not_lists_of_strings_are_malformed(tmp_path):
+    lines = [json.dumps(_generic(flags=flags)) for flags in UNTYPED_FLAGS]
+    for line in lines:  # the reference reader converts each of them
+        legacy_detect.event_from_json(json.loads(line))
+    path = tmp_path / "untyped-flags.jsonl"
+    path.write_text(json.dumps(HEADER) + "\n" + "\n".join(lines) + "\n")
+    trace, malformed = read_trace(path)
+
+    assert trace.events == []
+    assert [lineno for lineno, _ in malformed] == list(range(2, 2 + len(UNTYPED_FLAGS)))
+    for (_, reason), flags in zip(malformed, UNTYPED_FLAGS):
+        assert reason == f"flags must be a list of strings, got {flags!r}"
 
 
 def test_flag_set_table_stays_within_its_cap(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -29,6 +30,7 @@ from dhcpguard.netsim import (
     save_topology,
     write_trace,
 )
+from test_memory import HEADER, _dhcp, _generic
 
 
 def _dhcp_events(events, msg_type=None, server_id=None):
@@ -309,6 +311,64 @@ def test_read_trace_counts_malformed_lines(tmp_path):
     assert len(malformed) == 2
     assert [lineno for lineno, _ in malformed] == [6, len(lines)]
     assert len(loaded.events) == len(trace.events) - 1
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_every_kind_reads_back_to_equal_events(tmp_path, kind):
+    trace = run_scenario(default_scenario(kind, seed=7, duration=10.0, tamper=True))
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    loaded, malformed = read_trace(path)
+    assert malformed == []
+    assert loaded.events == trace.events
+
+
+def _event_line(field, value):
+    """A valid trace line with ``field`` of the event or its payload set to ``value``."""
+    event = _dhcp(bytes(32)) if field == "data" else _generic()
+    (event["payload"] if field in event["payload"] else event)[field] = value
+    return json.dumps(event)
+
+
+# Values the reader used to convert with int(), float() or str() instead of
+# refusing: a string, a float or a bool for an integer, a string or a bool for
+# a number, -1 (the broadcast pseudo-id) or 2^40 for a node id, a string for a
+# list of flags, and hex text with a space in it.
+_COERCED = [
+    ("src", "7"), ("src", 1.5), ("src", True), ("src", -1), ("src", 2**40),
+    ("dst", True), ("dst", -1), ("dst", "7"), ("dst", 2**40),
+    ("time", "3"), ("time", True),
+    ("size_bytes", 5.9), ("size_bytes", "60"), ("size_bytes", True),
+    ("flags", "ack"), ("flags", [1]),
+    ("data", 5), ("data", "00 " + "00" * 31),
+    ("payload_pattern", "a b"), ("payload_pattern", "0a 0b"),
+]
+
+
+@pytest.mark.parametrize("field, value", _COERCED, ids=lambda v: repr(v))
+def test_a_mistyped_event_field_is_malformed_naming_it(tmp_path, field, value):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(HEADER) + "\n" + _event_line(field, value) + "\n")
+    trace, malformed = read_trace(path)
+    assert trace.events == []
+    [(lineno, reason)] = malformed
+    assert lineno == 2
+    assert reason.startswith(f"{field} must be ") and reason.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("time", 3, 3.0), ("time", -0.0, 0.0), ("src", 0, 0), ("src", 2**40 - 1, 2**40 - 1),
+    ("dst", "broadcast", BROADCAST), ("size_bytes", 2**32, 2**32), ("flags", [], frozenset()),
+    ("payload_pattern", "0A0b", b"\n\x0b"),
+], ids=lambda v: repr(v))
+def test_event_fields_at_their_bounds_are_read(tmp_path, field, value, expected):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(HEADER) + "\n" + _event_line(field, value) + "\n")
+    trace, malformed = read_trace(path)
+    assert malformed == []
+    [event] = trace.events
+    read = getattr(event.payload if hasattr(event.payload, field) else event, field)
+    assert read == expected and type(read) is type(expected)
 
 
 def test_topology_file_round_trip(tmp_path):

@@ -97,6 +97,23 @@ def test_parse_error_reports_line_number(tmp_path):
         load_signatures(path)
 
 
+@pytest.mark.parametrize("rule_id", ["1_0", "+7", "-3", "\u0663", "", " 7x", "0x1f", "1.0"])
+def test_a_rule_id_must_be_ascii_decimal_digits(tmp_path, rule_id):
+    path = tmp_path / "ids.rules"
+    path.write_text(f"1 | any | dos | high | 61\n{rule_id} | any | dos | high | 62\n",
+                    encoding="utf-8")
+    with pytest.raises(SignatureParseError) as info:
+        load_signatures(path)
+    assert info.value.lineno == 2
+    assert str(info.value).startswith(f"{path}:2: id must be ASCII decimal digits, got ")
+
+
+def test_a_rule_id_may_have_leading_zeros(tmp_path):
+    path = tmp_path / "ids.rules"
+    path.write_text("007 | any | dos | high | 61\n", encoding="utf-8")
+    assert [sig.id for sig in load_signatures(path)] == [7]
+
+
 def test_sample_db_catches_malware_attachment_name():
     db = load_signatures(sample_signatures_path())
     assert len(db) >= 5
