@@ -34,30 +34,13 @@ class Severity(str, Enum):
     HIGH = "high"
 
 
-# Layer-distinct code prefixes; layer_of_sign() must stay the inverse of
-# every sign the layers produce.
-SIGN_PREFIXES = {
-    "VR": Layer.VERIFIER,
-    "SG": Layer.SIGNATURE,
-    "AN": Layer.ANOMALY,
-}
-
-
-def layer_of_sign(unique_sign: str) -> Layer:
-    prefix = unique_sign.split("-", 1)[0]
-    try:
-        return SIGN_PREFIXES[prefix]
-    except KeyError:
-        raise ValueError(f"unknown alert sign {unique_sign!r}") from None
-
-
 @dataclass(frozen=True, slots=True)
 class Alert:
     """One detection verdict.
 
     ``evidence`` holds the indices of the trace events that triggered the
     alert (the offending event first).  ``unique_sign`` is a layer-distinct
-    code; its prefix always identifies the originating layer.
+    code; the layer that makes it fixes its prefix (``VR-``, ``SG-``, ``AN-``).
     """
 
     time: float
@@ -66,10 +49,6 @@ class Alert:
     severity: Severity
     evidence: tuple[int, ...]
     unique_sign: str
-
-    def __post_init__(self):
-        if layer_of_sign(self.unique_sign) is not self.layer:
-            raise ValueError(f"sign {self.unique_sign!r} does not match layer {self.layer}")
 
     def to_json(self) -> dict:
         return {

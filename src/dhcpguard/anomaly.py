@@ -82,12 +82,13 @@ class AnomalyConfig:
 class MetricBaseline:
     """EWMA mean/variance for one metric; threshold = mean + k * stddev."""
 
-    def __init__(self, alpha: float):
+    def __init__(self, alpha: float, k: float):
         self.alpha = alpha
+        self.k = k
         self.mean = 0.0
         self.variance = 0.0
         self.samples = 0
-        self._threshold: Optional[tuple[float, float]] = None  # (k, threshold) since last update
+        self.threshold = 0.0
 
     def update(self, sample: float) -> None:
         if not math.isfinite(sample):
@@ -100,13 +101,7 @@ class MetricBaseline:
             self.mean += self.alpha * diff
             self.variance = (1.0 - self.alpha) * self.variance + self.alpha * diff * diff
         self.samples += 1
-        self._threshold = None
-
-    def threshold(self, k: float) -> float:
-        cached = self._threshold
-        if cached is None or cached[0] != k:
-            cached = self._threshold = (k, self.mean + k * math.sqrt(self.variance))
-        return cached[1]
+        self.threshold = self.mean + self.k * math.sqrt(self.variance)
 
 
 class Baseline:
@@ -118,7 +113,7 @@ class Baseline:
 
     def metric(self, name: str) -> MetricBaseline:
         if name not in self._metrics:
-            self._metrics[name] = MetricBaseline(self.config.alpha)
+            self._metrics[name] = MetricBaseline(self.config.alpha, self.config.k)
         return self._metrics[name]
 
     def update(self, samples: dict[str, float]) -> None:
@@ -130,14 +125,14 @@ class Baseline:
 
         ``None`` when no observed metric is warmed up yet.
         """
-        warmup, k = self.config.warmup, self.config.k
+        warmup = self.config.warmup
         warmed = False
         above = []
         for name, value in samples.items():
             baseline = self._metrics.get(name)
             if baseline is not None and baseline.samples >= warmup:
                 warmed = True
-                if value > baseline.threshold(k):
+                if value > baseline.threshold:
                     above.append(name)
         return above if warmed else None
 
@@ -199,12 +194,12 @@ def traffic_metrics(count: int, size_sum: int, sources: int, window: float) -> d
     """The anomaly metrics of ``count`` generic events seen in ``window`` seconds.
 
     ``sources`` is the number of distinct sources among them; the mean
-    payload size is left out when there are no events.
+    payload size is left out when there are no events.  The keys are in
+    priority order: the first that exceeds names the anomaly alert.
     """
-    metrics = {RATE: count / window, DISTINCT_SOURCES: float(sources)}
-    if count:
-        metrics[MEAN_SIZE] = size_sum / count
-    return metrics
+    if not count:
+        return {RATE: 0.0, DISTINCT_SOURCES: float(sources)}
+    return {RATE: count / window, MEAN_SIZE: size_sum / count, DISTINCT_SOURCES: float(sources)}
 
 
 class TrailingWindow:

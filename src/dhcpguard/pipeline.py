@@ -16,7 +16,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -53,15 +52,6 @@ class PipelineError(Exception):
 
 class StaleVersion(PipelineError):
     pass
-
-
-class NotAnOffer(PipelineError):
-    """verify_dhcp_offer only accepts OFFER and ACK messages."""
-
-
-class VerifyResult(str, Enum):
-    VALID = "valid"
-    ROGUE = "rogue"
 
 
 # A LAN has a handful of servers, so a few triples recur on every OFFER
@@ -135,20 +125,14 @@ def save_registry_records(records: Iterable[dict], path: Union[str, Path]) -> No
         fh.write("\n")
 
 
-def verify_dhcp_offer(msg: DhcpMessage, registry: DhcpRegistry) -> VerifyResult:
-    """Check an OFFER/ACK against the known-server registry.
+def verify_dhcp_offer(msg: DhcpMessage, registry: DhcpRegistry) -> bool:
+    """Whether an OFFER/ACK comes from a known server.
 
-    Valid requires both a registered server_id and a matching fingerprint
+    True requires both a registered server_id and a matching fingerprint
     over (server_id, gateway, dns); anything else is rogue.
     """
-    if msg.msg_type not in (MsgType.OFFER, MsgType.ACK):
-        raise NotAnOffer(f"cannot verify a {msg.msg_type.name}")
     expected = registry.entries.get(msg.server_id)
-    if expected is None:
-        return VerifyResult.ROGUE
-    if expected != fingerprint(msg.server_id, msg.gateway, msg.dns):
-        return VerifyResult.ROGUE
-    return VerifyResult.VALID
+    return expected is not None and expected == fingerprint(msg.server_id, msg.gateway, msg.dns)
 
 
 @dataclass(frozen=True)
@@ -160,19 +144,14 @@ class Policy:
     anomaly: AnomalyConfig = AnomalyConfig()
 
 
-# In priority order: the first exceeded metric names the alert.
-_ANOMALY_METRIC_CLASS = {
+# The alert named by the first exceeded metric, in traffic_metrics' priority order.
+_ANOMALY_SIGNS = {
     RATE: (AlertClass.DOS, "AN-RATE"),
     MEAN_SIZE: (AlertClass.U2R, "AN-SIZE"),
     DISTINCT_SOURCES: (AlertClass.PROBE, "AN-SRCS"),
 }
 
 _INGREDIENT_SIGNS = {ingredient: f"SG-ING-{ingredient.value}" for ingredient in Ingredient}
-
-# The layers an event consults, by the layer that stopped it.
-_UP_TO_VERIFIER = (Layer.VERIFIER,)
-_UP_TO_SIGNATURE = (Layer.VERIFIER, Layer.SIGNATURE)
-_ALL_LAYERS = (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
 
 
 class Pipeline:
@@ -189,7 +168,8 @@ class Pipeline:
         self._policy = policy
         self._window = SlidingWindow(self.nodes)
         self.window_tracker = WindowTracker(policy.anomaly)
-        self._stops: Counter = Counter()  # consulted-layer tuple -> events
+        self._seen = 0
+        self._alerts: Counter = Counter()  # layer -> alerts
 
     @property
     def policy(self) -> Policy:
@@ -197,11 +177,12 @@ class Pipeline:
 
     @property
     def layer_calls(self) -> Counter:
-        """Events that consulted each layer so far."""
+        """Events that consulted each layer so far: those no earlier layer stopped."""
         calls: Counter = Counter()
-        for consulted, n in self._stops.items():
-            for layer in consulted:
-                calls[layer] += n
+        reached = self._seen
+        for layer in Layer:
+            calls[layer] = reached
+            reached -= self._alerts[layer]
         return calls
 
     def update_policy(self, new_policy: Policy) -> None:
@@ -228,7 +209,7 @@ class Pipeline:
         msg = view.message
         if msg is None or msg.msg_type not in (MsgType.OFFER, MsgType.ACK):
             return None
-        if verify_dhcp_offer(msg, policy.registry) is VerifyResult.ROGUE:
+        if not verify_dhcp_offer(msg, policy.registry):
             return Alert(
                 time=view.event.time,
                 layer=Layer.VERIFIER,
@@ -270,17 +251,15 @@ class Pipeline:
         exceeded = self.window_tracker.baseline.exceeded(metrics)
         if not exceeded:  # cold, or nothing above its threshold
             return None
-        for metric, (attack_class, sign) in _ANOMALY_METRIC_CLASS.items():
-            if metric in exceeded:
-                return Alert(
-                    time=view.event.time,
-                    layer=Layer.ANOMALY,
-                    attack_class=attack_class,
-                    severity=Severity.MEDIUM,
-                    evidence=(view.index,),
-                    unique_sign=sign,
-                )
-        return None
+        attack_class, sign = _ANOMALY_SIGNS[exceeded[0]]
+        return Alert(
+            time=view.event.time,
+            layer=Layer.ANOMALY,
+            attack_class=attack_class,
+            severity=Severity.MEDIUM,
+            evidence=(view.index,),
+            unique_sign=sign,
+        )
 
     # -- event entry point ----------------------------------------------
 
@@ -291,15 +270,12 @@ class Pipeline:
         # REQUEST) even though an earlier layer's alert stops later layers
         # from being consulted.
         violations = eval_ingredients(policy.ingredients, self._window, view)
-        consulted = _UP_TO_VERIFIER
-        alert = self._verifier_layer(view, policy)
-        if alert is None:
-            consulted = _UP_TO_SIGNATURE
-            alert = self._signature_layer(view, policy, violations)
-            if alert is None:
-                consulted = _ALL_LAYERS
-                alert = self._anomaly_layer(view)
-        self._stops[consulted] += 1
+        self._seen += 1
+        alert = (self._verifier_layer(view, policy)
+                 or self._signature_layer(view, policy, violations)
+                 or self._anomaly_layer(view))
+        if alert is not None:
+            self._alerts[alert.layer] += 1
         return alert
 
 

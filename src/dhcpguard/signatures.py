@@ -4,7 +4,8 @@ Signature file format, one rule per line::
 
     id | direction | class | severity | hex-pattern
 
-``#`` starts a comment, blank lines are ignored, ids must be unique.
+``#`` starts a comment, blank lines are ignored, ids must be unique and
+are at most MAX_RULE_ID_DIGITS ASCII decimal digits.
 A pattern matches when it occurs as a contiguous byte subsequence of the
 event payload (the generic payload pattern, or the 32-byte DHCP wire
 image) and the rule direction is compatible.  Lowest id wins when
@@ -106,6 +107,10 @@ class SignatureDb:
         return self._scan is not None and self._scan(payload) is not None
 
 
+#: longest rule id, in digits, well inside int()'s limit on digit strings
+MAX_RULE_ID_DIGITS = 9
+
+
 def load_signatures(path: Union[str, Path]) -> SignatureDb:
     """Parse a rule file; raises naming the file and the offending line.
 
@@ -128,6 +133,8 @@ def load_signatures(path: Union[str, Path]) -> SignatureDb:
                 # int() would also take "1_0", "+7", "-3" and non-ASCII digits
                 if not (parts[0].isascii() and parts[0].isdigit()):
                     raise refused("id", "ASCII decimal digits", parts[0])
+                if len(parts[0]) > MAX_RULE_ID_DIGITS:
+                    raise refused("id", f"at most {MAX_RULE_ID_DIGITS} digits", parts[0])
                 sig_id = int(parts[0])
                 direction = Direction(parts[1])
                 attack_class = AlertClass(parts[2])

@@ -1,5 +1,5 @@
 """Entry points only the tests use: one event at a time, a whole-trace
-window classification and an alert log read back."""
+window classification, an alert log read back and the layer a sign names."""
 
 import json
 
@@ -32,6 +32,23 @@ def window_classification(events, config):
     for event in events:
         tracker.add_event(event)
     return tracker
+
+
+# Layer-distinct sign prefixes; layer_of_sign() must stay the inverse of
+# every sign the layers produce.
+SIGN_PREFIXES = {
+    "VR": Layer.VERIFIER,
+    "SG": Layer.SIGNATURE,
+    "AN": Layer.ANOMALY,
+}
+
+
+def layer_of_sign(unique_sign):
+    prefix = unique_sign.split("-", 1)[0]
+    try:
+        return SIGN_PREFIXES[prefix]
+    except KeyError:
+        raise ValueError(f"unknown alert sign {unique_sign!r}") from None
 
 
 def alert_from_json(data):

@@ -1,8 +1,11 @@
 """Reference form of the trace-line reader the differential tests compare against.
 
 This is the straightforward version that the shared flag sets replaced:
-a new flag set for every event read.  Outputs must stay identical to it.
-The detection references live in ``reference_detect``.
+a new flag set for every event read.  It converts some mistyped fields
+that the trace reader now refuses as malformed (a flag that is not a
+string, for one), so the two readers must agree on every line both
+accept, not on every line.  The detection references live in
+``reference_detect``.
 """
 
 import math

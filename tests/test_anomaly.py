@@ -26,16 +26,16 @@ from helpers import window_classification
 
 
 def test_constant_stream_converges():
-    m = MetricBaseline(alpha=0.2)
+    m = MetricBaseline(alpha=0.2, k=3.0)
     for _ in range(200):
         m.update(42.0)
     assert m.mean == pytest.approx(42.0)
     assert m.variance < 1e-12
-    assert m.threshold(3.0) == pytest.approx(42.0)
+    assert m.threshold == pytest.approx(42.0)
 
 
 def test_alpha_one_tracks_last_sample():
-    m = MetricBaseline(alpha=1.0)
+    m = MetricBaseline(alpha=1.0, k=3.0)
     for value in (5.0, 9.0, 2.0):
         m.update(value)
         assert m.mean == value
@@ -43,7 +43,7 @@ def test_alpha_one_tracks_last_sample():
 
 def test_spike_moves_mean_by_alpha():
     # hand-evaluated recurrence: after ten 100s, mean(1000) = 0.9*100 + 0.1*1000
-    m = MetricBaseline(alpha=0.1)
+    m = MetricBaseline(alpha=0.1, k=3.0)
     for _ in range(10):
         m.update(100.0)
     m.update(1000.0)
@@ -51,7 +51,7 @@ def test_spike_moves_mean_by_alpha():
 
 
 def test_geometric_convergence_to_constant():
-    m = MetricBaseline(alpha=0.5)
+    m = MetricBaseline(alpha=0.5, k=3.0)
     m.update(0.0)
     gaps = []
     for _ in range(10):
@@ -63,7 +63,7 @@ def test_geometric_convergence_to_constant():
 
 def test_rejects_non_finite_samples():
     with pytest.raises(ValueError):
-        MetricBaseline(alpha=0.1).update(math.inf)
+        MetricBaseline(alpha=0.1, k=3.0).update(math.inf)
 
 
 # -- detection ----------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Compact trace records: slotted immutable events and shared flag sets.
 
 The per-event objects carry no ``__dict__`` and stay frozen; reading a
-trace shares one frozenset per distinct flag set, and parses every line,
-hostile ones included, exactly as the plain form in ``legacy_detect``,
-which builds a new flag set per event, does.
+trace shares one frozenset per distinct flag set.  On every line that
+both accept, hostile ones included, it parses exactly as the plain form
+in ``legacy_detect``, which builds a new flag set per event, does; lines
+that the plain form coerces are malformed to the trace reader.
 """
 
 import dataclasses

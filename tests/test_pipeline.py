@@ -5,8 +5,15 @@ from collections import Counter
 
 import pytest
 
-from dhcpguard.alerts import AlertClass, Layer, Severity, layer_of_sign
-from dhcpguard.anomaly import DISTINCT_SOURCES, MAX_WINDOWS, MEAN_SIZE, RATE, AnomalyConfig
+from dhcpguard.alerts import AlertClass, Layer, Severity
+from dhcpguard.anomaly import (
+    DISTINCT_SOURCES,
+    MAX_WINDOWS,
+    MEAN_SIZE,
+    RATE,
+    AnomalyConfig,
+    traffic_metrics,
+)
 from dhcpguard.dhcp import (
     BODY_SIZE,
     DhcpMessage,
@@ -39,19 +46,21 @@ from dhcpguard.netsim import (
     run_scenario,
 )
 from dhcpguard.pipeline import (
+    _ANOMALY_SIGNS,
+    _INGREDIENT_SIGNS,
     DhcpRegistry,
-    NotAnOffer,
     Pipeline,
     PipelineError,
     Policy,
     StaleVersion,
-    VerifyResult,
     fingerprint,
     run_detection,
     verify_dhcp_offer,
 )
 from dhcpguard.signatures import (
+    MAX_RULE_ID_DIGITS,
     Direction,
+    Ingredient,
     IngredientConfig,
     Signature,
     SignatureDb,
@@ -60,7 +69,7 @@ from dhcpguard.signatures import (
 )
 
 import reference_detect as reference
-from helpers import EventPipeline
+from helpers import EventPipeline, layer_of_sign
 
 LEGIT = parse_ipv4("10.0.0.2")
 GATEWAY = parse_ipv4("10.0.0.1")
@@ -96,24 +105,18 @@ def _event(payload, time=0.0, src=1, dst=4, truth=AttackClass.NONE):
 
 
 def test_registered_offer_is_valid():
-    assert verify_dhcp_offer(_offer(), _registry()) is VerifyResult.VALID
+    assert verify_dhcp_offer(_offer(), _registry()) is True
 
 
 def test_unregistered_server_is_rogue():
     assert verify_dhcp_offer(_offer(server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP),
-                             _registry()) is VerifyResult.ROGUE
+                             _registry()) is False
 
 
 def test_spoofed_identity_fails_fingerprint():
     # correct server_id but the gateway the rogue rewrote: fingerprint mismatch
     spoofed = _offer(server_id=LEGIT, gateway=ATTACKER_IP)
-    assert verify_dhcp_offer(spoofed, _registry()) is VerifyResult.ROGUE
-
-
-def test_verify_rejects_non_offers():
-    discover = DhcpMessage(MsgType.DISCOVER, 1, MacAddr.from_int(4))
-    with pytest.raises(NotAnOffer):
-        verify_dhcp_offer(discover, _registry())
+    assert verify_dhcp_offer(spoofed, _registry()) is False
 
 
 def test_fingerprint_cache_is_bounded():
@@ -135,7 +138,7 @@ def test_fingerprint_depends_on_all_three_fields():
 
 def test_empty_registry_flags_every_offer():
     empty = DhcpRegistry()
-    assert verify_dhcp_offer(_offer(), empty) is VerifyResult.ROGUE
+    assert verify_dhcp_offer(_offer(), empty) is False
 
 
 def test_registry_rejects_duplicate_server_ids():
@@ -156,13 +159,6 @@ def test_registry_text_round_trips_through_ints():
     assert list(registry.entries) == [LEGIT_SERVER_IP]
     assert registry.entries[LEGIT_SERVER_IP] == fingerprint(
         LEGIT_SERVER_IP, ROUTER_IP, ROUTER_IP)
-
-
-def test_alert_sign_must_match_layer():
-    from dhcpguard.alerts import Alert
-    with pytest.raises(ValueError):
-        Alert(time=0.0, layer=Layer.ANOMALY, attack_class=AlertClass.DOS,
-              severity=Severity.MEDIUM, evidence=(0,), unique_sign="VR-ROGUE")
 
 
 # -- ordering and short-circuit ----------------------------------------------------
@@ -206,6 +202,28 @@ def test_dual_matching_event_reports_signature_layer_only():
     dual_alert = pipe.process_event(_event(dual, time=1.5, src=2), 99)
     assert dual_alert is not None and dual_alert.layer is Layer.SIGNATURE
     assert pipe.last_consulted == (Layer.VERIFIER, Layer.SIGNATURE)
+
+
+@pytest.mark.parametrize("quiet, sign", [
+    # rate and mean size exceed, sources do not
+    ({RATE: 1.0, MEAN_SIZE: 100.0, DISTINCT_SOURCES: 5.0}, "AN-RATE"),
+    # all three exceed
+    ({RATE: 1.0, MEAN_SIZE: 100.0, DISTINCT_SOURCES: 1.0}, "AN-RATE"),
+    # mean size and sources exceed, rate does not
+    ({RATE: 5.0, MEAN_SIZE: 100.0, DISTINCT_SOURCES: 1.0}, "AN-SIZE"),
+    # sources alone
+    ({RATE: 5.0, MEAN_SIZE: 300.0, DISTINCT_SOURCES: 1.0}, "AN-SRCS"),
+])
+def test_first_exceeded_metric_in_priority_order_names_the_anomaly(quiet, sign):
+    pipe = EventPipeline(_policy())
+    for _ in range(40):  # constant quiet traffic: each threshold is its quiet value
+        pipe.window_tracker.baseline.update(quiet)
+    alert = None
+    for src in (2, 3):  # two 200-byte events from two sources: rate 2, size 200, sources 2
+        payload = GenericPayload(Proto.TCP, frozenset({"ack"}), 200, b"y%d" % src)
+        alert = pipe.process_event(_event(payload, time=1.0 + src * 0.01, src=src), src)
+    assert alert is not None and alert.layer is Layer.ANOMALY
+    assert alert.unique_sign == sign
 
 
 def test_benign_event_consults_all_three_layers():
@@ -579,6 +597,29 @@ def test_alert_signs_identify_their_layer():
         assert layer_of_sign(alert.unique_sign) is alert.layer
         seen_layers.add(alert.layer)
     assert Layer.VERIFIER in seen_layers and Layer.SIGNATURE in seen_layers
+
+
+def test_every_sign_the_layers_make_names_its_layer():
+    # The layers build their signs from fixed prefixes and an alert does
+    # not re-check its own, so each sign they can make is checked here once.
+    rogue = EventPipeline(_policy()).process_event(
+        _event(DhcpPayload.from_message(_offer(server_id=ROGUE))))
+    made = [rogue]
+    bounds = SignatureDb([Signature(0, b"zero", AlertClass.DOS),
+                          Signature(7, b"seven", AlertClass.DOS),
+                          Signature(10**MAX_RULE_ID_DIGITS - 1, b"nines", AlertClass.DOS)])
+    for sig in bounds:  # rule signs at the id bounds
+        payload = GenericPayload(Proto.TCP, frozenset({"ack"}), 100, sig.pattern)
+        made.append(EventPipeline(_policy(signatures=bounds)).process_event(_event(payload)))
+    assert [a.unique_sign for a in made] == ["VR-ROGUE", "SG-000", "SG-007", "SG-999999999"]
+    signs = {alert.unique_sign: alert.layer for alert in made}
+    assert set(_INGREDIENT_SIGNS) == set(Ingredient)
+    signs.update(dict.fromkeys(_INGREDIENT_SIGNS.values(), Layer.SIGNATURE))
+    assert list(_ANOMALY_SIGNS) == list(traffic_metrics(1, 100, 1, 1.0))
+    signs.update((sign, Layer.ANOMALY) for _, sign in _ANOMALY_SIGNS.values())
+    assert len(signs) == len(made) + len(Ingredient) + len(_ANOMALY_SIGNS)
+    for sign, layer in signs.items():
+        assert layer_of_sign(sign) is layer, sign
 
 
 def test_block_mode_prevents_rogue_bindings_in_replay():

@@ -20,6 +20,7 @@ from dhcpguard.netsim import (
     run_scenario,
 )
 from dhcpguard.signatures import (
+    MAX_RULE_ID_DIGITS,
     Direction,
     DuplicateSignatureId,
     Ingredient,
@@ -112,6 +113,25 @@ def test_a_rule_id_may_have_leading_zeros(tmp_path):
     path = tmp_path / "ids.rules"
     path.write_text("007 | any | dos | high | 61\n", encoding="utf-8")
     assert [sig.id for sig in load_signatures(path)] == [7]
+
+
+@pytest.mark.parametrize("digits", [MAX_RULE_ID_DIGITS + 1, 4300, 5000])
+def test_a_rule_id_longer_than_the_bound_is_refused_naming_id(tmp_path, digits):
+    path = tmp_path / "ids.rules"
+    path.write_text(f"{'1' * digits} | any | dos | high | 61\n", encoding="utf-8")
+    with pytest.raises(SignatureParseError) as info:
+        load_signatures(path)
+    assert info.value.lineno == 1
+    assert str(info.value).startswith(
+        f"{path}:1: id must be at most {MAX_RULE_ID_DIGITS} digits, got '1111")
+
+
+def test_a_rule_id_at_the_bound_is_read(tmp_path):
+    path = tmp_path / "ids.rules"
+    path.write_text(f"{'9' * MAX_RULE_ID_DIGITS} | any | dos | high | 61\n"
+                    f"{'0' * (MAX_RULE_ID_DIGITS - 1)}7 | any | dos | high | 62\n",
+                    encoding="utf-8")
+    assert [sig.id for sig in load_signatures(path)] == [7, 10**MAX_RULE_ID_DIGITS - 1]
 
 
 def test_sample_db_catches_malware_attachment_name():
