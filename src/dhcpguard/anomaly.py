@@ -29,10 +29,9 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .netsim import AttackClass, GenericPayload, SimEvent
+from .trace import AttackClass, GenericPayload, SimEvent
 
 
 #: most tumbling windows a run may close; MAX_DURATION at the default 1 s
@@ -172,14 +171,15 @@ def sign_of_attack(tn: int, fn: int, d: int = 1, b: int = 1) -> SignOfAttack:
         raise ValueError("smoothing constants must be > 0")
     if fn == 0:
         return SignOfAttack(math.inf, SignVerdict.NO_ATTACK)
-    ratio = Fraction(tn, tn + d) / Fraction(fn, fn + b)
-    if ratio > 1:
+    # Exact int comparisons; int true division rounds as float(Fraction) does.
+    num, den = tn * (fn + b), (tn + d) * fn
+    if num > den:
         verdict = SignVerdict.NO_ATTACK
-    elif ratio < 1:
+    elif num < den:
         verdict = SignVerdict.ATTACK
     else:
         verdict = SignVerdict.BOUNDARY
-    return SignOfAttack(float(ratio), verdict)
+    return SignOfAttack(num / den, verdict)
 
 
 # -- windowed evaluation over traces ---------------------------------------

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .anomaly import sign_of_attack
-from .netsim import is_int, is_number
 from .pipeline import DetectionResult
+from .trace import is_int, is_number, refused
 
 logger = logging.getLogger(__name__)
 
@@ -125,23 +125,28 @@ class RunReport:
         values = {}
         for f in fields(cls):
             value = data.get(f.name)
-            if not _fits(f.name, f.type, value):
-                raise ValueError(f"report field {f.name!r} must be {f.type}, "
-                                 f"got {type(value).__name__}")
+            _check_field(f.name, f.type, value)
             if f.type == "Optional[float]" and value is not None:
                 value = float(value)  # a JSON integer is a number too
             values[f.name] = value
         return cls(**values)
 
 
-def _fits(name: str, kind: str, value) -> bool:
-    """Whether ``value`` can stand in the RunReport field ``name`` annotated ``kind``."""
+def _check_field(name: str, kind: str, value) -> None:
+    """Refuse a ``value`` that cannot stand in the RunReport field ``name`` annotated ``kind``."""
     if kind == "Optional[float]":  # a percentage, or the non-negative st_ratio
-        limit = 100.0 if name in _PCT_METRICS else sys.float_info.max
-        return value is None or (is_number(value) and 0.0 <= value <= limit)
-    if kind == "dict[str, int]":
-        return type(value) is dict and all(map(is_int, value.values()))
-    return type(value) is str if kind == "str" else is_int(value)
+        pct = name in _PCT_METRICS
+        what = "a number in [0, 100] or null" if pct else "a finite number >= 0 or null"
+        limit = 100.0 if pct else sys.float_info.max
+        ok = value is None or (is_number(value) and 0.0 <= value <= limit)
+    elif kind == "dict[str, int]":
+        what, ok = "an object of integers", type(value) is dict and all(map(is_int, value.values()))
+    elif kind == "str":
+        what, ok = "a string", type(value) is str
+    else:
+        what, ok = "an integer", is_int(value)
+    if not ok:
+        raise refused(name, what, value)
 
 
 def _try(fn, *args) -> Optional[float]:

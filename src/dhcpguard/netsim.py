@@ -33,7 +33,6 @@ import heapq
 import json
 import math
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,19 +57,26 @@ from .dhcp import (
     format_ipv4,
     parse_ipv4,
 )
+from .trace import (
+    BROADCAST,
+    MAX_DURATION,
+    NODE_ID_BITS,
+    AttackClass,
+    DhcpPayload,
+    GenericPayload,
+    NodeSpec,
+    Payload,
+    Proto,
+    Role,
+    SimEvent,
+    is_int,
+    is_number,
+    refused,
+)
 
 TRACE_SCHEMA = "dhcpguard-trace/1"
 
-#: destination pseudo-id for link-layer broadcast
-BROADCAST = -1
-
-#: bits of a node id: :func:`node_mac` packs it below a one-byte prefix
-NODE_ID_BITS = 40
 _NODE_ID_LIMIT = 1 << NODE_ID_BITS
-
-#: longest simulated or replayed span in seconds; the simulator, the
-#: capture series and the anomaly windows all do work per second of it
-MAX_DURATION = 1e5
 
 #: most events one rate (``rate * duration``), flood or client count may
 #: ask of a run; above the ~8.5e6 rate-driven events of a default mixed
@@ -102,31 +108,6 @@ _ACK = frozenset({"ack"})
 _SYN = frozenset({"syn"})
 
 
-class Role(str, Enum):
-    CLIENT = "client"
-    LEGIT_DHCP = "legit_dhcp"
-    ROGUE_DHCP = "rogue_dhcp"
-    ATTACKER = "attacker"
-    ROUTER = "router"
-
-
-class Proto(str, Enum):
-    TCP = "tcp"
-    UDP = "udp"
-    ICMP = "icmp"
-    DNS = "dns"
-
-
-class AttackClass(str, Enum):
-    DOS = "dos"
-    U2R = "u2r"
-    R2L = "r2l"
-    PROBE = "probe"
-    ROGUE_DHCP = "rogue_dhcp"
-    MASQUERADE = "masquerade"
-    NONE = "none"
-
-
 class ScenarioKind(str, Enum):
     ROGUE_RACE = "rogue-race"
     STARVATION = "starvation"
@@ -139,74 +120,6 @@ class ScenarioKind(str, Enum):
 
 class InvalidScenario(ValueError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class GenericPayload:
-    proto: Proto
-    flags: frozenset[str]
-    size_bytes: int
-    payload_pattern: bytes
-
-
-@dataclass(frozen=True, slots=True)
-class DhcpPayload:
-    """DHCP wire bytes plus the decode attempt.
-
-    ``message`` is ``None`` when the bytes do not decode; ``error`` then
-    carries the failure's :attr:`~dhcpguard.dhcp.DhcpCodecError.reason`
-    (``bad_checksum`` for tampering).
-    """
-
-    raw: bytes
-    message: Optional[DhcpMessage]
-    error: Optional[str] = None
-
-    @classmethod
-    def from_message(cls, msg: DhcpMessage) -> "DhcpPayload":
-        return cls(raw=encode_message(msg), message=msg)
-
-    @classmethod
-    def from_raw(cls, raw: bytes) -> "DhcpPayload":
-        try:
-            return cls(raw=raw, message=decode_message(raw))
-        except DhcpCodecError as exc:
-            return cls(raw=raw, message=None, error=exc.reason)
-
-
-Payload = Union[DhcpPayload, GenericPayload]
-
-
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    time: float
-    src: int
-    dst: int
-    payload: Payload
-    ground_truth: AttackClass = AttackClass.NONE
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    id: int
-    role: Role
-    position: tuple[float, float] = (0.0, 0.0)
-    radio_range: float = 100.0
-    link_latency: float = 0.01
-
-    def __post_init__(self):
-        # An id outside the MAC's 40 bits would overflow it or share another
-        # node's MAC, and -1 is BROADCAST.
-        if not 0 <= self.id < _NODE_ID_LIMIT:
-            raise ValueError(f"id must be in [0, 2^{NODE_ID_BITS}), got {self.id}")
-        # NaN would turn every distance comparison false and hide range
-        # violations, and a negative latency would send replies back in time.
-        if not all(map(math.isfinite, self.position)):
-            raise ValueError(f"position must be finite, got {self.position}")
-        for name in ("radio_range", "link_latency"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:  # NaN included
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -483,7 +396,7 @@ class _Lan:
             raw[pos] ^= 1 << self.rng.randrange(8)
             payload = DhcpPayload(raw=bytes(raw), message=None, error=BadChecksum.reason)
         else:
-            payload = DhcpPayload.from_message(msg)
+            payload = DhcpPayload(raw=encode_message(msg), message=msg)
         self.trace.append(SimEvent(t, src, dst, payload, label))
         if payload.message is None:
             return
@@ -711,30 +624,6 @@ def _node_to_json(node: NodeSpec) -> dict:
     }
 
 
-# The JSON typing rule of every file the package reads: an integer field
-# takes a JSON integer, a number field a JSON number that a float can hold,
-# and a bool is neither.  JSON decoding yields exact types, so ``type(v) is``
-# tells them apart; the per-line trace reader writes these checks inline.
-
-
-def is_int(value) -> bool:
-    """A JSON integer; a bool is not one."""
-    return type(value) is int
-
-
-def is_number(value) -> bool:
-    """A JSON number a float can hold; a bool is not one."""
-    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
-
-
-def refused(name: str, what: str, value) -> ValueError:
-    """The error for a field ``name`` that is not ``what``; a long value is cut short."""
-    shown = repr(value)
-    if len(shown) > 80:
-        shown = shown[:77] + "..."
-    return ValueError(f"{name} must be {what}, got {shown}")
-
-
 def _one_of(enum: type[Enum]) -> str:
     return "one of " + ", ".join(member.value for member in enum)
 
@@ -829,7 +718,10 @@ def event_from_json(data: dict) -> SimEvent:
                 raise ValueError
         except (TypeError, ValueError):
             raise refused("data", "a hex string", hex_data) from None
-        payload: Payload = DhcpPayload.from_raw(raw)
+        try:
+            payload: Payload = DhcpPayload(raw=raw, message=decode_message(raw))
+        except DhcpCodecError as exc:
+            payload = DhcpPayload(raw=raw, message=None, error=exc.reason)
     elif kind == "generic":
         size = payload_data["size_bytes"]
         if type(size) is not int or not 0 < size <= MAX_SIZE_BYTES:

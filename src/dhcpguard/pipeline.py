@@ -31,7 +31,6 @@ from .anomaly import (
     classify,
 )
 from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType, format_ipv4, parse_ipv4
-from .netsim import MAX_DURATION, AttackClass, NodeSpec, SimEvent
 from .signatures import (
     EventView,
     Ingredient,
@@ -42,6 +41,7 @@ from .signatures import (
     make_view,
     match_signature,
 )
+from .trace import MAX_DURATION, AttackClass, NodeSpec, SimEvent
 
 REGISTRY_SCHEMA = "dhcpguard-registry/1"
 
@@ -336,6 +336,7 @@ def run_detection(
     db = pipeline.policy.signatures
     nodes = pipeline.nodes
     benign = AttackClass.NONE
+    alerted_before = pipeline._alerts.copy()
     last_second = math.ceil(duration)
 
     alerts: list[Alert] = []
@@ -375,14 +376,14 @@ def run_detection(
     counters = ConfusionCounters(fp=background[True], tn=background[False])
     for (_, _, hit), n in attacks.items():
         counters.add(classify(hit, True), n)
-    by_layer = Counter(alert.layer.value for alert in alerts)
+    by_layer = pipeline._alerts - alerted_before  # this pass's alerts, layers that alerted
     return DetectionResult(
         alerts=alerts,
         counters=counters,
         received=analyzed + malformed,
         analyzed=analyzed,
         attacks=attacks,
-        alerts_by_layer=dict(sorted(by_layer.items())),
+        alerts_by_layer=dict(sorted((layer.value, n) for layer, n in by_layer.items())),
         blocked=blocked,
         window_counters=pipeline.window_tracker.counters,
         st_series=list(pipeline.window_tracker.st_series),

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 from .alerts import AlertClass, Severity
 from .dhcp import BadChecksum, DhcpMessage, MsgType
-from .netsim import BROADCAST, DhcpPayload, NodeSpec, Role, SimEvent, refused
+from .trace import BROADCAST, DhcpPayload, NodeSpec, Role, SimEvent, refused
 
 
 class Direction(str, Enum):

@@ -1,12 +1,28 @@
-"""Entry points only the tests use: one event at a time, a whole-trace
-window classification, an alert log read back and the layer a sign names."""
+"""Entry points only the tests use: DHCP payloads built from a message or
+from wire bytes, one event at a time, a whole-trace window classification,
+an alert log read back and the layer a sign names."""
 
 import json
 
 from dhcpguard.alerts import Alert, AlertClass, Layer, Severity
 from dhcpguard.anomaly import WindowTracker
+from dhcpguard.dhcp import DhcpCodecError, decode_message, encode_message
 from dhcpguard.pipeline import Pipeline
 from dhcpguard.signatures import make_view
+from dhcpguard.trace import DhcpPayload
+
+
+def payload_from_message(msg):
+    """The payload the simulator emits for ``msg``."""
+    return DhcpPayload(raw=encode_message(msg), message=msg)
+
+
+def payload_from_raw(raw):
+    """The payload the trace reader builds from wire bytes ``raw``."""
+    try:
+        return DhcpPayload(raw=raw, message=decode_message(raw))
+    except DhcpCodecError as exc:
+        return DhcpPayload(raw=raw, message=None, error=exc.reason)
 
 
 class EventPipeline(Pipeline):

@@ -14,11 +14,11 @@ from dhcpguard.netsim import (
     BROADCAST,
     MAX_SIZE_BYTES,
     AttackClass,
-    DhcpPayload,
     GenericPayload,
     Proto,
     SimEvent,
 )
+from helpers import payload_from_raw
 
 
 def event_from_json(data):
@@ -29,7 +29,7 @@ def event_from_json(data):
     payload_data = data["payload"]
     kind = payload_data["kind"]
     if kind == "dhcp":
-        payload = DhcpPayload.from_raw(bytes.fromhex(payload_data["data"]))
+        payload = payload_from_raw(bytes.fromhex(payload_data["data"]))
     elif kind == "generic":
         size = int(payload_data["size_bytes"])
         if not 0 < size <= MAX_SIZE_BYTES:

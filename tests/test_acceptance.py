@@ -38,7 +38,7 @@ from dhcpguard.netsim import (
 from dhcpguard.pipeline import DhcpRegistry, Pipeline, Policy, run_detection
 from dhcpguard.signatures import load_signatures, sample_signatures_path
 
-from helpers import EventPipeline, window_classification
+from helpers import EventPipeline, payload_from_message, window_classification
 from test_dhcp import address_extreme_messages, random_message
 
 
@@ -174,11 +174,11 @@ def _random_trace(rng):
                               gateway=gateway if rng.random() < 0.5
                               else rng.getrandbits(32),
                               dns=gateway, lease_secs=300)
-            payload = DhcpPayload.from_message(msg)
+            payload = payload_from_message(msg)
         elif roll < 0.4:
             msg = DhcpMessage(MsgType.DISCOVER, rng.getrandbits(32),
                               MacAddr.from_int(rng.randrange(1, 50)))
-            payload = DhcpPayload.from_message(msg)
+            payload = payload_from_message(msg)
         else:
             pattern = rng.choice([b"plain chatter", b"dl freepics.exe now",
                                   b"x" * rng.randint(1, 30)])

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -163,6 +165,27 @@ def test_sign_of_attack_edges():
         sign_of_attack(-1, 0)
     with pytest.raises(ValueError):
         sign_of_attack(1, 1, d=0)
+
+
+def _exact_sign(tn, fn, d, b):
+    ratio = Fraction(tn, tn + d) / Fraction(fn, fn + b)
+    verdict = (SignVerdict.NO_ATTACK if ratio > 1
+               else SignVerdict.ATTACK if ratio < 1 else SignVerdict.BOUNDARY)
+    return float(ratio), verdict
+
+
+def test_sign_of_attack_equals_the_exact_fraction_form():
+    rng = random.Random(20)
+    for _ in range(5000):
+        d = rng.randint(2, 10 ** rng.randint(1, 6))
+        b = rng.randint(2, 10 ** rng.randint(1, 6))
+        if rng.random() < 0.3:  # on the boundary (tn * b == d * fn) or one count off it
+            k = rng.randint(1, 10 ** rng.randint(1, 24))
+            tn, fn = d * k + rng.choice((-1, 0, 0, 1)), b * k
+        else:
+            tn = rng.randint(0, 10 ** rng.randint(1, 30))
+            fn = rng.randint(1, 10 ** rng.randint(1, 30))
+        assert sign_of_attack(tn, fn, d, b) == _exact_sign(tn, fn, d, b), (tn, fn, d, b)
 
 
 def test_sign_of_attack_monotonicity_grid():

@@ -31,6 +31,7 @@ from dhcpguard.netsim import (
     write_trace,
 )
 from dhcpguard.signatures import EventView, Ingredient, Violation, make_view
+from helpers import payload_from_message
 
 # The parent of the compact records retained about 571 B per event.
 MAX_RETAINED_BYTES_PER_EVENT = 300
@@ -42,7 +43,7 @@ HEADER = {"schema": netsim.TRACE_SCHEMA, "kind": "mixed", "seed": 1, "duration":
 def _records():
     msg = DhcpMessage(MsgType.OFFER, 7, MacAddr.from_int(5), your_ip=10, server_id=2)
     generic = GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"x")
-    dhcp = DhcpPayload.from_message(msg)
+    dhcp = payload_from_message(msg)
     event = SimEvent(1.0, 4, 0, generic, AttackClass.DOS)
     return [
         event,

@@ -312,3 +312,23 @@ def test_counters_file_round_trip(tmp_path):
     loaded, series = load_counters(path)
     assert loaded == report
     assert series == result.capture_series
+
+
+@pytest.mark.parametrize("name", ["packet_analysis_capacity", "precision",
+                                  "overall_probability", "efficiency"])
+def test_counters_file_percentage_must_lie_in_0_to_100(tmp_path, name):
+    result = _detect(clients=4)
+    path = tmp_path / "counters.json"
+    save_counters(build_report(result, "run-a"), result, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for value, accepted in ((0, True), (0.0, True), (100, True), (150, False),
+                            (100.5, False), (-1, False), (True, False)):
+        data["report"][name] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        if accepted:
+            assert getattr(load_counters(path)[0], name) == value
+        else:
+            with pytest.raises(ValueError) as info:
+                load_counters(path)
+            assert str(info.value) == (
+                f"{path}: {name} must be a number in [0, 100] or null, got {value!r}")

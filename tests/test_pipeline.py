@@ -30,7 +30,6 @@ from dhcpguard.netsim import (
     BROADCAST,
     MAX_DURATION,
     AttackClass,
-    DhcpPayload,
     GenericPayload,
     LEGIT_SERVER_IP,
     NodeSpec,
@@ -69,7 +68,7 @@ from dhcpguard.signatures import (
 )
 
 import reference_detect as reference
-from helpers import EventPipeline, layer_of_sign
+from helpers import EventPipeline, layer_of_sign, payload_from_message, payload_from_raw
 
 LEGIT = parse_ipv4("10.0.0.2")
 GATEWAY = parse_ipv4("10.0.0.1")
@@ -166,7 +165,7 @@ def test_registry_text_round_trips_through_ints():
 
 def test_rogue_offer_short_circuits_at_verifier():
     pipe = EventPipeline(_policy())
-    event = _event(DhcpPayload.from_message(_offer(server_id=ROGUE)),
+    event = _event(payload_from_message(_offer(server_id=ROGUE)),
                    truth=AttackClass.ROGUE_DHCP)
     alert = pipe.process_event(event, index=7)
     assert alert is not None
@@ -235,7 +234,7 @@ def test_benign_event_consults_all_three_layers():
 
 def test_valid_offer_passes_through_quietly():
     pipe = EventPipeline(_policy())
-    assert pipe.process_event(_event(DhcpPayload.from_message(_offer()))) is None
+    assert pipe.process_event(_event(payload_from_message(_offer()))) is None
     assert pipe.last_consulted == (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
 
 
@@ -264,8 +263,8 @@ def test_verifier_caught_ack_still_answers_its_request():
     rogue_ack = DhcpMessage(MsgType.ACK, 0x77, mac, your_ip=parse_ipv4("10.0.66.100"),
                             server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP,
                             lease_secs=300)
-    assert pipe.process_event(_event(DhcpPayload.from_message(request), time=0.0), 0) is None
-    ack_alert = pipe.process_event(_event(DhcpPayload.from_message(rogue_ack), time=0.1), 1)
+    assert pipe.process_event(_event(payload_from_message(request), time=0.0), 0) is None
+    ack_alert = pipe.process_event(_event(payload_from_message(rogue_ack), time=0.1), 1)
     assert ack_alert is not None and ack_alert.layer is Layer.VERIFIER
     late = _event(GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"later"), time=10.0)
     assert pipe.process_event(late, 2) is None
@@ -295,7 +294,7 @@ _TWO_WINDOW_EVENTS = [
     _generic(9.5, 3, 1000, b"edge"),  # exactly anomaly.window before the last event
     _generic(9.6, 4, 100, b"recent"),
     _generic(9.7, 5, 1000, b"EVIL payload"),
-    _event(DhcpPayload.from_message(DhcpMessage(MsgType.DISCOVER, 9, MacAddr.from_int(6))),
+    _event(payload_from_message(DhcpMessage(MsgType.DISCOVER, 9, MacAddr.from_int(6))),
            time=9.8, src=6, dst=BROADCAST),
     _generic(10.0, 7, 300, b"last"),
 ]
@@ -370,7 +369,7 @@ def test_undecodable_frames_are_neither_tampered_verified_nor_measured(monkeypat
         return exceeded(metrics)
 
     pipe.window_tracker.baseline.exceeded = record
-    payload = DhcpPayload.from_raw(_reframed_request(reason))
+    payload = payload_from_raw(_reframed_request(reason))
     assert payload.message is None and payload.error == reason
     assert pipe.process_event(_event(payload, time=0.0, dst=BROADCAST), 0) is None
     assert pipe.last_consulted == (Layer.VERIFIER, Layer.SIGNATURE, Layer.ANOMALY)
@@ -383,7 +382,7 @@ def test_undecodable_frames_are_neither_tampered_verified_nor_measured(monkeypat
 
 def test_only_a_bad_checksum_is_tampering():
     pipe = EventPipeline(_policy())
-    payload = DhcpPayload.from_raw(_reframed_request("bad_checksum"))
+    payload = payload_from_raw(_reframed_request("bad_checksum"))
     assert payload.message is None and payload.error == "bad_checksum"
     alert = pipe.process_event(_event(payload, time=0.0, dst=BROADCAST), 0)
     assert alert is not None and alert.unique_sign == "SG-ING-validity"
@@ -396,7 +395,7 @@ def test_only_a_bad_checksum_is_tampering():
 
 def test_policy_update_allows_previously_rogue_server():
     pipe = EventPipeline(_policy(version=1))
-    rogue_offer = _event(DhcpPayload.from_message(
+    rogue_offer = _event(payload_from_message(
         _offer(server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP)))
     assert pipe.process_event(rogue_offer) is not None
 
@@ -462,7 +461,7 @@ def test_expired_requests_keep_request_order_across_a_timeout_change():
 
     def request(xid, time, index):
         msg = DhcpMessage(MsgType.REQUEST, xid, mac, your_ip=parse_ipv4("10.0.1.1"), server_id=LEGIT)
-        return pipe.process_event(_event(DhcpPayload.from_message(msg), time=time), index)
+        return pipe.process_event(_event(payload_from_message(msg), time=time), index)
 
     empty = SignatureDb([])
     pipe = EventPipeline(Policy(1, _registry(), empty, IngredientConfig(retransmit_timeout=5.0)))
@@ -502,8 +501,8 @@ def test_policy_update_keeps_an_equal_anomaly_config():
 
 def test_policy_bump_with_identical_content_is_idempotent():
     events = [
-        _event(DhcpPayload.from_message(_offer()), time=0.1),
-        _event(DhcpPayload.from_message(_offer(server_id=ROGUE)), time=0.2,
+        _event(payload_from_message(_offer()), time=0.1),
+        _event(payload_from_message(_offer(server_id=ROGUE)), time=0.2,
                truth=AttackClass.ROGUE_DHCP),
         _event(GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"hello"), time=0.3),
     ]
@@ -542,6 +541,19 @@ def test_rogue_race_detection_counts():
     assert result.counters.total == result.analyzed
     report = build_report(result)
     assert report.generated["rogue_dhcp"] == report.captured["rogue_dhcp"]
+
+
+def test_alerts_by_layer_counts_only_the_pass_s_own_alerts():
+    pipe = EventPipeline(_policy())
+    rogue = _event(payload_from_message(_offer(server_id=ROGUE)), truth=AttackClass.ROGUE_DHCP)
+    assert pipe.process_event(rogue).layer is Layer.VERIFIER
+    events = [_event(GenericPayload(Proto.TCP, frozenset({"ack"}), 120, pattern),
+                     time=0.1 * i, truth=AttackClass.R2L)
+              for i, pattern in enumerate((b"mail attachment freepics.exe", b"hello"))]
+    result = run_detection(events, pipe, duration=1.0)
+    assert [alert.layer for alert in result.alerts] == [Layer.SIGNATURE]
+    assert result.alerts_by_layer == {"signature": 1}
+    assert pipe.layer_calls[Layer.VERIFIER] == 3
 
 
 def test_route_split_ignores_rule_direction():
@@ -603,7 +615,7 @@ def test_every_sign_the_layers_make_names_its_layer():
     # The layers build their signs from fixed prefixes and an alert does
     # not re-check its own, so each sign they can make is checked here once.
     rogue = EventPipeline(_policy()).process_event(
-        _event(DhcpPayload.from_message(_offer(server_id=ROGUE))))
+        _event(payload_from_message(_offer(server_id=ROGUE))))
     made = [rogue]
     bounds = SignatureDb([Signature(0, b"zero", AlertClass.DOS),
                           Signature(7, b"seven", AlertClass.DOS),
@@ -679,7 +691,7 @@ def test_one_pass_detection_properties_over_random_scenarios():
 
 
 def test_capture_series_with_out_of_order_attack_times():
-    rogue = DhcpPayload.from_message(_offer(server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP))
+    rogue = payload_from_message(_offer(server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP))
     quiet = GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"nothing")
     spec = [(0.5, rogue, AttackClass.ROGUE_DHCP), (2.7, quiet, AttackClass.DOS),
             (1.2, rogue, AttackClass.ROGUE_DHCP), (1.9, quiet, AttackClass.NONE),

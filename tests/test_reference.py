@@ -21,7 +21,6 @@ from dhcpguard.metrics import build_report
 from dhcpguard.netsim import (
     BROADCAST,
     AttackClass,
-    DhcpPayload,
     GenericPayload,
     NodeSpec,
     Proto,
@@ -44,6 +43,7 @@ from dhcpguard.signatures import (
 )
 
 import reference_detect as reference
+from helpers import payload_from_raw
 from test_acceptance import _random_trace
 
 LEGIT = parse_ipv4("10.0.0.2")
@@ -206,7 +206,7 @@ def _grid_dhcp(rng):
         raw = raw[:BODY_SIZE] + bytes([raw[BODY_SIZE] ^ 1]) + raw[BODY_SIZE + 1:]
         if rng.random() < 0.3:
             raw += b"\x00"
-    return DhcpPayload.from_raw(raw)
+    return payload_from_raw(raw)
 
 
 def grid_trace(rng, dhcp_share):

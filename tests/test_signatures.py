@@ -9,7 +9,6 @@ from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, encode_message, parse_
 from dhcpguard.netsim import (
     BROADCAST,
     AttackClass,
-    DhcpPayload,
     GenericPayload,
     NodeSpec,
     Proto,
@@ -38,6 +37,7 @@ from dhcpguard.signatures import (
 )
 
 import reference_detect as reference
+from helpers import payload_from_raw
 
 
 def gview(index, time, pattern=b"hello", src=1, dst=2, size=100,
@@ -50,7 +50,7 @@ def dview(index, time, msg, src=1, dst=BROADCAST, corrupt=False, nodes=None):
     raw = encode_message(msg)
     if corrupt:
         raw = bytes([raw[0] ^ 0x80]) + raw[1:]
-    ev = SimEvent(time, src, dst, DhcpPayload.from_raw(raw), AttackClass.NONE)
+    ev = SimEvent(time, src, dst, payload_from_raw(raw), AttackClass.NONE)
     return make_view(ev, index, nodes)
 
 
