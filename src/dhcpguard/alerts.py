@@ -49,14 +49,3 @@ class Alert:
     severity: Severity
     evidence: tuple[int, ...]
     unique_sign: str
-
-    def to_json(self) -> dict:
-        return {
-            "time": self.time,
-            "layer": self.layer.value,
-            "attack_class": self.attack_class.value,
-            "severity": self.severity.value,
-            "evidence": list(self.evidence),
-            "unique_sign": self.unique_sign,
-        }
-

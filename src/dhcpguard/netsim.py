@@ -646,26 +646,6 @@ def _node_from_json(data) -> NodeSpec:
                     float(data["radio_range"]), float(data["link_latency"]))
 
 
-def event_to_json(ev: SimEvent) -> dict:
-    if isinstance(ev.payload, DhcpPayload):
-        payload = {"kind": "dhcp", "data": ev.payload.raw.hex()}
-    else:
-        payload = {
-            "kind": "generic",
-            "proto": ev.payload.proto.value,
-            "flags": sorted(ev.payload.flags),
-            "size_bytes": ev.payload.size_bytes,
-            "payload_pattern": ev.payload.payload_pattern.hex(),
-        }
-    return {
-        "time": ev.time,
-        "src": ev.src,
-        "dst": "broadcast" if ev.dst == BROADCAST else ev.dst,
-        "payload": payload,
-        "ground_truth": ev.ground_truth.value,
-    }
-
-
 #: most distinct flag sets :func:`event_from_json` keeps a shared copy of
 FLAG_SETS_MAX = 64
 # A trace holds a handful of distinct flag sets, so each event read keeps
@@ -673,6 +653,11 @@ FLAG_SETS_MAX = 64
 # emptied, so hostile input cannot grow it, and the sets of a later trace
 # are shared again.
 _flag_sets: dict[frozenset[str], frozenset[str]] = {}
+# The JSON text of each flag set :func:`write_trace` meets, bounded the same
+# way, since it also rewrites traces read from hostile files.
+_flags_text: dict[frozenset[str], str] = {}
+_PROTO_TEXT = {proto: json.dumps(proto.value) for proto in Proto}
+_LABEL_TEXT = {label: json.dumps(label.value) for label in AttackClass}
 
 
 def _flag_set(flags) -> frozenset[str]:
@@ -767,8 +752,29 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        # Each line is the bytes json.dumps(..., sort_keys=True, separators=(",", ":"))
+        # writes, from one template per payload kind with its keys in sorted order.
         for ev in trace.events:
-            fh.write(json.dumps(event_to_json(ev), sort_keys=True, separators=(",", ":")) + "\n")
+            payload = ev.payload
+            if isinstance(payload, DhcpPayload):
+                payload = f'{{"data":"{payload.raw.hex()}","kind":"dhcp"}}'
+            else:
+                flags = _flags_text.get(payload.flags)
+                if flags is None:
+                    if len(_flags_text) >= FLAG_SETS_MAX:
+                        _flags_text.clear()
+                    flags = _flags_text[payload.flags] = json.dumps(sorted(payload.flags),
+                                                                    separators=(",", ":"))
+                payload = (f'{{"flags":{flags},"kind":"generic",'
+                           f'"payload_pattern":"{payload.payload_pattern.hex()}",'
+                           f'"proto":{_PROTO_TEXT[payload.proto]},'
+                           f'"size_bytes":{payload.size_bytes}}}')
+            dst = '"broadcast"' if ev.dst == BROADCAST else ev.dst
+            # repr is json's text for every int and finite float; t - t is NaN
+            # for NaN and the infinities, which json spells differently.
+            time = repr(ev.time) if ev.time - ev.time == 0 else json.dumps(ev.time)
+            fh.write(f'{{"dst":{dst},"ground_truth":{_LABEL_TEXT[ev.ground_truth]},'
+                     f'"payload":{payload},"src":{ev.src},"time":{time}}}\n')
 
 
 # What reading hostile JSON can raise: a missing key, a value of the wrong

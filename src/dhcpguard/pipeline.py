@@ -392,6 +392,13 @@ def run_detection(
 
 
 def write_alerts(alerts: Iterable[Alert], path: Union[str, Path]) -> None:
+    # Each line is the bytes json.dumps(..., sort_keys=True, separators=(",", ":"))
+    # writes: the keys in sorted order, and enum values that are plain ASCII words.
     with open(path, "w", encoding="utf-8") as fh:
         for alert in alerts:
-            fh.write(json.dumps(alert.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
+            time = repr(alert.time) if alert.time - alert.time == 0 else json.dumps(alert.time)
+            sign = json.encoder.encode_basestring_ascii(alert.unique_sign)
+            fh.write(f'{{"attack_class":"{alert.attack_class.value}",'
+                     f'"evidence":[{",".join(map(str, alert.evidence))}],'
+                     f'"layer":"{alert.layer.value}","severity":"{alert.severity.value}",'
+                     f'"time":{time},"unique_sign":{sign}}}\n')

@@ -1,6 +1,8 @@
 """Entry points only the tests use: DHCP payloads built from a message or
 from wire bytes, one event at a time, a whole-trace window classification,
-an alert log read back and the layer a sign names."""
+an alert log read back, the layer a sign names, and the JSON objects of an
+event and an alert that the package's templated writers must match byte
+for byte."""
 
 import json
 
@@ -9,7 +11,7 @@ from dhcpguard.anomaly import WindowTracker
 from dhcpguard.dhcp import DhcpCodecError, decode_message, encode_message
 from dhcpguard.pipeline import Pipeline
 from dhcpguard.signatures import make_view
-from dhcpguard.trace import DhcpPayload
+from dhcpguard.trace import BROADCAST, DhcpPayload
 
 
 def payload_from_message(msg):
@@ -65,6 +67,40 @@ def layer_of_sign(unique_sign):
         return SIGN_PREFIXES[prefix]
     except KeyError:
         raise ValueError(f"unknown alert sign {unique_sign!r}") from None
+
+
+def event_to_json(ev):
+    """One trace line's object; ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+    of it is the line :func:`dhcpguard.netsim.write_trace` writes."""
+    if isinstance(ev.payload, DhcpPayload):
+        payload = {"kind": "dhcp", "data": ev.payload.raw.hex()}
+    else:
+        payload = {
+            "kind": "generic",
+            "proto": ev.payload.proto.value,
+            "flags": sorted(ev.payload.flags),
+            "size_bytes": ev.payload.size_bytes,
+            "payload_pattern": ev.payload.payload_pattern.hex(),
+        }
+    return {
+        "time": ev.time,
+        "src": ev.src,
+        "dst": "broadcast" if ev.dst == BROADCAST else ev.dst,
+        "payload": payload,
+        "ground_truth": ev.ground_truth.value,
+    }
+
+
+def alert_to_json(alert):
+    """One alert log line's object, as :func:`event_to_json` is for a trace line."""
+    return {
+        "time": alert.time,
+        "layer": alert.layer.value,
+        "attack_class": alert.attack_class.value,
+        "severity": alert.severity.value,
+        "evidence": list(alert.evidence),
+        "unique_sign": alert.unique_sign,
+    }
 
 
 def alert_from_json(data):

@@ -277,6 +277,10 @@ def test_render_table_includes_three_decimal_percentages():
     table = render_table([report])
     assert "packet analysis capacity (%)" in table
     assert "100.000" in table
+    # Only a table of several runs aggregates them.
+    assert "aggregate over" not in table
+    two = render_table([report, build_report(_detect(clients=4, seed=2), "run-b")])
+    assert "aggregate over 2 runs (mean +/- stdev):" in two
 
 
 def test_aggregate_mean_and_stdev_match_statistics():

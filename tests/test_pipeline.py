@@ -68,7 +68,8 @@ from dhcpguard.signatures import (
 )
 
 import reference_detect as reference
-from helpers import EventPipeline, layer_of_sign, payload_from_message, payload_from_raw
+from helpers import (EventPipeline, alert_to_json, layer_of_sign, payload_from_message,
+                     payload_from_raw)
 
 LEGIT = parse_ipv4("10.0.0.2")
 GATEWAY = parse_ipv4("10.0.0.1")
@@ -435,7 +436,7 @@ def test_mid_trace_policy_updates_match_the_reference():
                 pipe.update_policy(switch_at[index])
             alert = pipe.process_event(event, index)
             if alert is not None:
-                alerts.append(alert.to_json())
+                alerts.append(alert_to_json(alert))
             outcomes[alert is not None, event.ground_truth is not AttackClass.NONE] += 1
         return alerts, outcomes, pipe.layer_calls, pipe.window_tracker.counters
 
@@ -445,7 +446,7 @@ def test_mid_trace_policy_updates_match_the_reference():
         c = ref.result.counters
         outcomes = Counter({(True, True): c.tp, (True, False): c.fp,
                             (False, False): c.tn, (False, True): c.fn})
-        alerts = [alert.to_json() for alert in ref.result.alerts]
+        alerts = [alert_to_json(alert) for alert in ref.result.alerts]
         return alerts, outcomes, ref.layer_calls, ref.result.window_counters
 
     got = run()

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -291,6 +292,23 @@ def test_pattern_replication_on_identical_bursts():
         if AlertClass.PATTERN_REPLICATION in _classes(violations):
             hits += 1
     assert hits == 150  # every event past the limit keeps firing
+
+
+def test_window_counts_keep_only_keys_of_events_in_the_window():
+    # Memory stays bounded by the window, not by every source and payload
+    # ever seen: a count that falls to zero drops its key.
+    w = SlidingWindow()
+    events = [(i * 0.01, i % 300, b"p%d" % (i % 450)) for i in range(1000)]
+    for time, src, pattern in events:
+        w.add(time, src, pattern, window=1.0)
+    cutoff = events[-1][0] - 1.0
+    in_window = [(src, pattern) for time, src, pattern in events if time > cutoff]
+    assert 0 < len(in_window) < 300
+    assert dict(w._src_counts) == Counter(src for src, _ in in_window)
+    assert dict(w._pattern_counts) == Counter(pattern for _, pattern in in_window)
+    w.add(100.0, src=7, pattern=b"last", window=1.0)
+    assert dict(w._src_counts) == {7: 1}
+    assert dict(w._pattern_counts) == {b"last": 1}
 
 
 def test_radio_range_violation_uses_geometry():
