@@ -21,7 +21,7 @@ import statistics
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from math import isfinite
+from math import isfinite, sqrt
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -273,7 +273,8 @@ def aggregate_reports(reports: Sequence[RunReport]) -> dict:
             continue
         summary[name] = {
             "mean": statistics.mean(values),
-            "stdev": statistics.stdev(values) if len(values) > 1 else None,
+            # The same float on every Python, unlike statistics.stdev (changed in 3.11).
+            "stdev": sqrt(statistics.variance(values)) if len(values) > 1 else None,
         }
     return summary
 

@@ -203,67 +203,8 @@ class Pipeline:
                                 "start a new pipeline to change it")
         self._policy = new_policy
 
-    # -- layers --------------------------------------------------------
-
-    def _verifier_layer(self, view: EventView, policy: Policy) -> Optional[Alert]:
-        msg = view.message
-        if msg is None or msg.msg_type not in (MsgType.OFFER, MsgType.ACK):
-            return None
-        if not verify_dhcp_offer(msg, policy.registry):
-            return Alert(
-                time=view.event.time,
-                layer=Layer.VERIFIER,
-                attack_class=AlertClass.ROGUE_DHCP,
-                severity=Severity.HIGH,
-                evidence=(view.index,),
-                unique_sign="VR-ROGUE",
-            )
-        return None
-
-    def _signature_layer(self, view: EventView, policy: Policy,
-                         violations: list) -> Optional[Alert]:
-        sig = match_signature(policy.signatures, view)
-        if sig is not None:
-            return Alert(
-                time=view.event.time,
-                layer=Layer.SIGNATURE,
-                attack_class=sig.attack_class,
-                severity=sig.severity,
-                evidence=(view.index,),
-                unique_sign=f"SG-{sig.id:03d}",
-            )
-        if violations:
-            first = violations[0]
-            return Alert(
-                time=view.event.time,
-                layer=Layer.SIGNATURE,
-                attack_class=first.attack_class,
-                severity=first.severity,
-                evidence=(view.index,) + first.related,
-                unique_sign=_INGREDIENT_SIGNS[first.ingredient],
-            )
-        return None
-
-    def _anomaly_layer(self, view: EventView) -> Optional[Alert]:
-        metrics = self.window_tracker.add_event(view.event)
-        if metrics is None:
-            return None
-        exceeded = self.window_tracker.baseline.exceeded(metrics)
-        if not exceeded:  # cold, or nothing above its threshold
-            return None
-        attack_class, sign = _ANOMALY_SIGNS[exceeded[0]]
-        return Alert(
-            time=view.event.time,
-            layer=Layer.ANOMALY,
-            attack_class=attack_class,
-            severity=Severity.MEDIUM,
-            evidence=(view.index,),
-            unique_sign=sign,
-        )
-
-    # -- event entry point ----------------------------------------------
-
     def process_view(self, view: EventView) -> Optional[Alert]:
+        """The event's one alert, from the first layer in README's order that fires."""
         policy = self._policy
         # Traffic bookkeeping precedes every verdict: the sliding window has
         # to reflect all observed traffic (a rogue ACK still answers its
@@ -271,12 +212,30 @@ class Pipeline:
         # from being consulted.
         violations = eval_ingredients(policy.ingredients, self._window, view)
         self._seen += 1
-        alert = (self._verifier_layer(view, policy)
-                 or self._signature_layer(view, policy, violations)
-                 or self._anomaly_layer(view))
-        if alert is not None:
-            self._alerts[alert.layer] += 1
-        return alert
+        msg = view.message
+        evidence = (view.index,)
+        if (msg is not None and msg.msg_type in (MsgType.OFFER, MsgType.ACK)
+                and not verify_dhcp_offer(msg, policy.registry)):
+            layer, attack_class, severity, sign = (
+                Layer.VERIFIER, AlertClass.ROGUE_DHCP, Severity.HIGH, "VR-ROGUE")
+        elif (sig := match_signature(policy.signatures, view)) is not None:
+            layer, attack_class, severity, sign = (
+                Layer.SIGNATURE, sig.attack_class, sig.severity, f"SG-{sig.id:03d}")
+        elif violations:
+            first = violations[0]
+            layer, attack_class, severity = Layer.SIGNATURE, first.attack_class, first.severity
+            sign = _INGREDIENT_SIGNS[first.ingredient]
+            evidence += first.related
+        elif ((metrics := self.window_tracker.add_event(view.event)) is not None
+              # None while cold, empty when nothing is above its threshold
+              and (exceeded := self.window_tracker.baseline.exceeded(metrics))):
+            layer, severity = Layer.ANOMALY, Severity.MEDIUM
+            attack_class, sign = _ANOMALY_SIGNS[exceeded[0]]
+        else:
+            return None
+        self._alerts[layer] += 1
+        return Alert(time=view.event.time, layer=layer, attack_class=attack_class,
+                     severity=severity, evidence=evidence, unique_sign=sign)
 
 
 # -- whole-trace detection -------------------------------------------------
@@ -346,7 +305,7 @@ def run_detection(
     # Cumulative (second, generated, captured) attack counts.  An attack
     # event counts toward the first row not yet written whose second is at
     # or after its time; one older than the rows written so far counts
-    # toward the next row.
+    # toward the next row, and the last row holds every attack.
     capture_series: list[tuple[float, int, int]] = []
     second = 1
     cum_gen = cum_cap = 0
@@ -365,7 +324,7 @@ def run_detection(
             background[hit] += 1
         else:
             attacks[cls, db.matches_any(view.pattern), hit] += 1
-            while second < event.time and second <= last_second:
+            while second < event.time and second < last_second:
                 capture_series.append((float(second), cum_gen, cum_cap))
                 second += 1
             cum_gen += 1

@@ -324,6 +324,8 @@ class SlidingWindow:
         their deadlines, since the timeout may change between requests.
         """
         heap = self._deadlines
+        # The loop below makes the same test; returning early skips the
+        # list and the sort on the many calls with nothing due.
         if not heap or heap[0][0] >= now:
             return []
         expected = self._expected

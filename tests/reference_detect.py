@@ -19,7 +19,9 @@ Digital Technical Journal 10(1), 1998):
 - the route split is ``any(sig.pattern in payload for sig in db)``.
 
 It also derives the capture series, the counters and every ``RunReport``
-figure.  A window drops its oldest events while they lie at or before
+figure.  Row ``s`` of the capture series counts the attacks at or before
+second ``s``, and the last row counts every attack, whatever its time.
+A window drops its oldest events while they lie at or before
 the cutoff; with non-decreasing times, as every simulated trace has,
 that is a filter on time, which is how this module states it.  Only data
 types, enums, configs, ``Policy``, registry entries, ``SignatureDb``
@@ -327,9 +329,11 @@ def detect(events, policy, nodes=None, *, duration, malformed=0, block=False, sw
             attack_times.append((event.time, hit))
 
     tp = sum(hit for _, hit in attack_times)
+    last = math.ceil(duration)
     capture_series = [
-        (float(s), sum(t <= s for t, _ in attack_times), sum(h for t, h in attack_times if t <= s))
-        for s in range(1, math.ceil(duration) + 1)
+        (float(s), sum(t <= s or s == last for t, _ in attack_times),
+         sum(h for t, h in attack_times if t <= s or s == last))
+        for s in range(1, last + 1)
     ]
     windows = anomaly.outcomes
     result = DetectionResult(

@@ -105,8 +105,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AnomalyConfig(warmup=0)
     for name in ("k", "window"):
-        with pytest.raises(ValueError):
-            AnomalyConfig(**{name: float("nan")})
+        for value in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                AnomalyConfig(**{name: value})
 
 
 # -- alarm/truth classification ------------------------------------------------
@@ -165,6 +166,8 @@ def test_sign_of_attack_edges():
         sign_of_attack(-1, 0)
     with pytest.raises(ValueError):
         sign_of_attack(1, 1, d=0)
+    with pytest.raises(ValueError):
+        sign_of_attack(1, 1, b=0)
 
 
 def _exact_sign(tn, fn, d, b):

@@ -1,4 +1,4 @@
-"""Byte manifest: every scenario kind, simulated and detected, must reproduce its files.
+"""Byte manifest: every scenario kind, simulated, detected and reported, must reproduce its files.
 
 ``golden_manifest.json`` holds the sha256 of the trace, registry, alert log
 and counters file of 28 simulate -> detect runs through ``cli.main``: the
@@ -6,6 +6,11 @@ seven scenario kinds x seeds 1 and 7 x the default detect settings and
 ``ALT_DETECT``.  For each counters file it also holds every field of the
 file by its dotted JSON path (a list is kept as the sha256 of its JSON), so
 a failure names the fields that changed, not only the file.
+
+It also holds the sha256 of the ``report`` output in each format, and of
+its ``--series`` CSV, for each run alone and, per kind, for the four runs
+together (``<kind>/all``).  Every run keeps the trace's stem as its label,
+so the four-run report reads copies relabeled ``<seed>-<setting>``.
 
 A change that alters output bytes on purpose regenerates the manifest and
 says so in its change notes::
@@ -50,6 +55,28 @@ def counters_fields(value, path="") -> dict[str, object]:
     return {path: value}
 
 
+def report_entries(name: str, counters: list[Path], tmp: Path) -> dict[str, dict]:
+    """The manifest entries of ``report`` over ``counters`` in each format, and of its series."""
+    entries = {}
+    for fmt in ("json", "table", "csv"):
+        out, series = tmp / f"report.{fmt}", tmp / "series.csv"
+        with redirect_stdout(StringIO()):
+            assert main(["report", *map(str, counters), "--format", fmt, "--out", str(out),
+                         "--series", str(series)]) == EXIT_OK
+        entries[f"{name}/report.{fmt}"] = {"sha256": _sha256(out.read_bytes())}
+    entries[f"{name}/series.csv"] = {"sha256": _sha256(series.read_bytes())}
+    return entries
+
+
+def relabeled(path: Path, label: str) -> Path:
+    """A copy of a counters file whose report carries ``label``."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["report"]["label"] = label
+    copy = path.with_name(f"{label}-relabeled.json")
+    copy.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return copy
+
+
 def run_kind(tmp: Path, kind: str, seed: int) -> dict[str, dict]:
     """The manifest entries of one kind and seed, by file name."""
     trace, registry = tmp / "trace.jsonl", tmp / "registry.json"
@@ -61,7 +88,7 @@ def run_kind(tmp: Path, kind: str, seed: int) -> dict[str, dict]:
         f"{kind}/{seed}/registry.json": {"sha256": _sha256(registry.read_bytes())},
     }
     for setting, args in DETECT_SETTINGS.items():
-        alerts, counters = tmp / f"{setting}-alerts.jsonl", tmp / f"{setting}-counters.json"
+        alerts, counters = tmp / f"{setting}-alerts.jsonl", tmp / f"{seed}-{setting}-counters.json"
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
             main(["detect", "--trace", str(trace), "--registry", str(registry),
                   "--alerts", str(alerts), "--counters", str(counters), *args])
@@ -69,14 +96,25 @@ def run_kind(tmp: Path, kind: str, seed: int) -> dict[str, dict]:
         data = counters.read_bytes()
         entries[f"{kind}/{seed}/{setting}/counters.json"] = {
             "sha256": _sha256(data), "fields": counters_fields(json.loads(data))}
+        entries.update(report_entries(f"{kind}/{seed}/{setting}", [counters], tmp))
+    return entries
+
+
+def kind_entries(tmp: Path, kind: str) -> dict[str, dict]:
+    """The manifest entries of one kind: each seed's runs, then the report over all four."""
+    entries = {}
+    for seed in SEEDS:
+        entries.update(run_kind(tmp, kind, seed))
+    runs = [relabeled(tmp / f"{seed}-{setting}-counters.json", f"{seed}-{setting}")
+            for seed in SEEDS for setting in DETECT_SETTINGS]
+    entries.update(report_entries(f"{kind}/all", runs, tmp))
     return entries
 
 
 def build_manifest(tmp: Path) -> dict[str, dict]:
     manifest = {}
     for kind in ScenarioKind:
-        for seed in SEEDS:
-            manifest.update(run_kind(tmp, kind.value, seed))
+        manifest.update(kind_entries(tmp, kind.value))
     return manifest
 
 
@@ -101,10 +139,7 @@ def differences(expected: dict, actual: dict) -> list[str]:
 def test_outputs_match_the_manifest(tmp_path, kind):
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     expected = {name: entry for name, entry in manifest.items() if name.startswith(f"{kind}/")}
-    actual = {}
-    for seed in SEEDS:
-        actual.update(run_kind(tmp_path, kind, seed))
-    lines = differences(expected, actual)
+    lines = differences(expected, kind_entries(tmp_path, kind))
     assert not lines, "outputs differ from tests/golden_manifest.json:\n" + "\n".join(lines)
 
 

@@ -293,6 +293,13 @@ def test_aggregate_mean_and_stdev_match_statistics():
     assert single["packet_analysis_capacity"]["stdev"] is None
 
 
+def test_aggregate_stdev_is_the_same_float_on_every_python():
+    # Python 3.11's statistics.stdev gives ...332 here and 3.10's gives ...33.
+    report = build_report(_detect(clients=4), "run")
+    runs = [dataclasses.replace(report, efficiency=value) for value in (59.318, 39.36, 17.035)]
+    assert aggregate_reports(runs)["efficiency"]["stdev"] == 21.15253916200133
+
+
 def test_render_json_carries_runs_and_aggregate():
     reports = [build_report(_detect(clients=4, seed=s), f"s{s}") for s in (1, 2)]
     data = json.loads(render_json(reports))
@@ -316,6 +323,22 @@ def test_counters_file_round_trip(tmp_path):
     loaded, series = load_counters(path)
     assert loaded == report
     assert series == result.capture_series
+
+
+def test_counters_file_series_rows_hold_0_to_generated_captures(tmp_path):
+    result = _detect(clients=4)
+    path = tmp_path / "counters.json"
+    save_counters(build_report(result, "run-a"), result, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for rows, accepted in (([[1.0, 3, 0], [2.0, 3, 3]], True), ([[1.0, 0, 0]], True),
+                           ([[1.0, 3, 4]], False), ([[1.0, 3, -1]], False)):
+        data["capture_series"] = rows
+        path.write_text(json.dumps(data), encoding="utf-8")
+        if accepted:
+            assert load_counters(path)[1] == [tuple(row) for row in rows]
+        else:
+            with pytest.raises(ValueError, match="0 <= captured <= generated"):
+                load_counters(path)
 
 
 @pytest.mark.parametrize("name", ["packet_analysis_capacity", "precision",

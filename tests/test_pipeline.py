@@ -709,11 +709,45 @@ def test_capture_series_with_out_of_order_attack_times():
         (1.0, 1, 1), (2.0, 1, 1), (3.0, 3, 2), (4.0, 6, 3), (5.0, 7, 4), (6.0, 9, 5)]
 
 
+def test_capture_series_last_row_holds_every_attack():
+    rogue = payload_from_message(_offer(server_id=ROGUE, gateway=ATTACKER_IP, dns=ATTACKER_IP))
+    quiet = GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"nothing")
+    policy = _policy(signatures=SignatureDb([]))
+    spec = [(0.5, rogue, AttackClass.ROGUE_DHCP), (5.0, quiet, AttackClass.DOS)]
+    events = [_event(payload, time, truth=truth) for time, payload, truth in spec]
+    result = run_detection(events, Pipeline(policy), duration=2.0)
+    assert (result.tga, result.counters.tp) == (2, 1)
+    assert result.capture_series == [(1.0, 1, 1), (2.0, 2, 1)]
+
+    # Times out of order and past the duration, many seeded draws.
+    rng = random.Random(23)
+    truths = (AttackClass.NONE, AttackClass.DOS, AttackClass.ROGUE_DHCP)
+    for _ in range(60):
+        duration = rng.choice((0.0, 0.5, 1.0, 3.0, round(rng.uniform(0.1, 6.0), 2)))
+        events = [_event(rng.choice((rogue, quiet)), round(rng.uniform(0, 2 * duration + 1), 2),
+                         truth=rng.choice(truths)) for _ in range(rng.randrange(15))]
+        result = run_detection(events, Pipeline(policy), duration=duration)
+        series = result.capture_series
+        assert [row[0] for row in series] == [float(s) for s in range(1, math.ceil(duration) + 1)]
+        for (_, g0, c0), (_, g1, c1) in zip(series, series[1:]):
+            assert g0 <= g1 and c0 <= c1
+        if series:
+            assert series[-1][1:] == (result.tga, result.counters.tp)
+        # In time order the reference states the same rule.
+        in_order = sorted(events, key=lambda event: event.time)
+        expected = reference.detect(in_order, policy, duration=duration).result
+        assert run_detection(in_order, Pipeline(policy), duration=duration) == expected
+
+
 def test_run_detection_bounds_the_windows_and_the_duration():
     pipe = Pipeline(dataclasses.replace(_policy(), anomaly=AnomalyConfig(window=1e-3)))
     assert len(run_detection([], pipe, duration=MAX_WINDOWS * 1e-3).capture_series) == 100
     with pytest.raises(ValueError, match="anomaly.window"):
         run_detection([], pipe, duration=MAX_WINDOWS * 1e-3 * 1.01)
+    # Both ends of the duration's range are accepted.
+    assert run_detection([], Pipeline(_policy()), duration=0.0).capture_series == []
+    series = run_detection([], Pipeline(_policy()), duration=MAX_DURATION).capture_series
+    assert len(series) == MAX_DURATION == 100_000 and series[-1] == (MAX_DURATION, 0, 0)
     for duration in (-1.0, MAX_DURATION * 1.01, math.nan):
         with pytest.raises(ValueError, match="duration"):
             run_detection([], Pipeline(_policy()), duration=duration)

@@ -315,6 +315,7 @@ def test_radio_range_violation_uses_geometry():
     nodes = {
         1: NodeSpec(1, Role.ATTACKER, position=(0.0, 0.0), radio_range=10.0),
         2: NodeSpec(2, Role.ROUTER, position=(20.0, 0.0), radio_range=100.0),
+        3: NodeSpec(3, Role.CLIENT, position=(6.0, 8.0), radio_range=1.0),
     }
     cfg = _cfg()
     w = SlidingWindow(nodes)
@@ -324,6 +325,8 @@ def test_radio_range_violation_uses_geometry():
     w2 = SlidingWindow(nodes)
     assert eval_ingredients(cfg, w2, gview(1, 0.0, src=2, dst=1, nodes=nodes)) == []
     assert eval_ingredients(cfg, w2, gview(2, 0.1, src=1, dst=BROADCAST, nodes=nodes)) == []
+    # node 3 lies exactly at node 1's radio range, which is in range
+    assert eval_ingredients(cfg, w2, gview(3, 0.2, src=1, dst=3, nodes=nodes)) == []
 
 
 def test_validity_flags_tampered_dhcp():
