@@ -203,10 +203,7 @@ def traffic_metrics(count: int, size_sum: int, sources: int, window: float) -> d
 
 
 class TrailingWindow:
-    """Per-event metrics over the generic events of the last ``window`` seconds.
-
-    Pruned in arrival order, like the ingredients' ``SlidingWindow``.
-    """
+    """Per-event metrics over the generic events of the last ``window`` seconds."""
 
     def __init__(self):
         self._events: deque[tuple[float, int, int]] = deque()
@@ -214,8 +211,8 @@ class TrailingWindow:
         self._sources: Counter = Counter()
 
     def add(self, time: float, size: int, src: int, window: float) -> dict[str, float]:
-        """Add one event, drop the oldest arrival while it lies at or before
-        ``time - window``, and return the metrics."""
+        """Add one event, drop events while they lie at or before ``time - window``,
+        and return the metrics."""
         self._events.append((time, size, src))
         self._size_sum += size
         self._sources[src] += 1

@@ -215,8 +215,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
           f"{len(result.alerts)} alerts ({layers})")
     c = result.counters
     print(f"counters: tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn}")
-    if malformed:
-        print(f"skipped {len(malformed)} malformed lines")
+    skipped = result.received - result.analyzed
+    if skipped:
+        print(f"skipped {len(malformed)} malformed lines, "
+              f"{skipped - len(malformed)} events out of time order or past duration")
     if result.blocked:
         print(f"blocked {len(result.blocked)} rogue DHCP replies (replay)")
     print(f"wrote alerts: {args.alerts}")

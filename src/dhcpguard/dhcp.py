@@ -51,6 +51,7 @@ MAX_LEASE_SECS = (1 << 24) - 1
 # Bytes 0..26 of the body; the 24-bit lease that follows has no struct code.
 _HEAD = struct.Struct(">BI6sIIII")
 _ADDRESS_FIELDS = ("your_ip", "server_id", "gateway", "dns")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def parse_ipv4(text: str) -> Ipv4Addr:
@@ -118,9 +119,9 @@ class MacAddr:
     @classmethod
     def parse(cls, text: str) -> "MacAddr":
         parts = text.split(":")
-        if len(parts) != 6:
+        if len(parts) != 6 or not all(len(p) == 2 and _HEX_DIGITS.issuperset(p) for p in parts):
             raise ValueError(f"bad MAC {text!r}")
-        return cls(bytes(int(p, 16) for p in parts))
+        return cls(bytes.fromhex("".join(parts)))
 
     @classmethod
     def from_int(cls, value: int) -> "MacAddr":

@@ -842,24 +842,20 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
     """Load a trace file.
 
     Returns the trace plus a list of (line number, reason) for lines that
-    failed to parse or whose time lies outside [0, duration]; parsing
-    continues past bad lines so the caller can count
-    received-but-not-analyzed input; a byte that is not UTF-8 reads as
-    U+FFFD, which leaves its line malformed.  A bad header is a
+    failed to parse; parsing continues past bad lines so the caller can
+    count received-but-not-analyzed input; a byte that is not UTF-8 reads
+    as U+FFFD, which leaves its line malformed.  A bad header is a
     :class:`ValueError` naming the file.
     """
     malformed: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         trace = _read_header(fh, path)
-        duration = trace.duration
         events = trace.events
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 event = event_from_json(json.loads(line))
-                if not 0.0 <= event.time <= duration:
-                    raise ValueError(f"time {event.time} outside [0, {duration}]")
             except INPUT_ERRORS as exc:
                 malformed.append((lineno, _input_error(exc)))
             else:

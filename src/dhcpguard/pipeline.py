@@ -41,7 +41,7 @@ from .signatures import (
     make_view,
     match_signature,
 )
-from .trace import MAX_DURATION, AttackClass, NodeSpec, SimEvent
+from .trace import MAX_DURATION, AttackClass, NodeSpec, SimEvent, refused
 
 REGISTRY_SCHEMA = "dhcpguard-registry/1"
 
@@ -79,16 +79,16 @@ class DhcpRegistry:
     def from_records(cls, records: Iterable[dict]) -> "DhcpRegistry":
         """Entries from registry records of dotted-text fields.
 
-        A malformed record is a :class:`ValueError` naming its index.
+        A malformed record is a :class:`ValueError` naming its index and field.
         """
         entries = []
         for i, rec in enumerate(records):
             try:
                 if not isinstance(rec, dict):
                     raise ValueError(f"expected an object, got {rec!r}")
-                server_id, gateway, dns = (
-                    parse_ipv4(_record_text(rec, key)) for key in ("server_id", "gateway", "dns"))
-                MacAddr.parse(_record_text(rec, "mac"))  # validated, not stored
+                server_id, gateway, dns = (_field(rec, key, parse_ipv4, "a dotted IPv4 address")
+                                           for key in ("server_id", "gateway", "dns"))
+                _field(rec, "mac", MacAddr.parse, "six ':'-separated hex pairs")  # not stored
                 entries.append((server_id, fingerprint(server_id, gateway, dns)))
             except ValueError as exc:
                 raise ValueError(f"server record {i}: {exc}") from None
@@ -111,11 +111,14 @@ class DhcpRegistry:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _record_text(rec: dict, key: str) -> str:
+def _field(rec: dict, key: str, parse, what: str):
     value = rec.get(key)
     if not isinstance(value, str):
-        raise ValueError(f"{key!r} must be a string, got {value!r}")
-    return value
+        raise refused(key, "a string", value)
+    try:
+        return parse(value)
+    except ValueError:
+        raise refused(key, what, value) from None
 
 
 def save_registry_records(records: Iterable[dict], path: Union[str, Path]) -> None:
@@ -282,12 +285,15 @@ def run_detection(
 
     ``events`` may be any iterable, a generator included, and is read
     once.  ``duration`` is the trace's span: the capture series has one
-    row per whole second up to ``ceil(duration)``.  Per-event accounting:
-    an alert on a labeled-attack event is a TP, an alert on background is
-    an FP, silence on an attack is an FN and silence on background is a
-    TN.  ``malformed`` input lines count as received but not analyzed.
-    With ``block=True`` the indices of verifier-flagged OFFER/ACK events
-    are reported so replay tooling can treat them as never delivered.
+    row per whole second up to ``ceil(duration)``.  Events are taken in
+    time order: one before the last analyzed time (or 0), past
+    ``duration`` or NaN is skipped, received but not analyzed, and keeps
+    its index.  Per-event accounting: an alert on a labeled-attack event
+    is a TP, an alert on background is an FP, silence on an attack is an
+    FN and silence on background is a TN.  ``malformed`` input lines
+    count as received but not analyzed.  With ``block=True`` the indices
+    of verifier-flagged OFFER/ACK events are reported so replay tooling
+    can treat them as never delivered.
     """
     if not 0 <= duration <= MAX_DURATION:  # NaN included
         raise ValueError(f"duration must be in [0, {MAX_DURATION:g}], got {duration}")
@@ -302,16 +308,19 @@ def run_detection(
     blocked: list[int] = []
     background: Counter = Counter()  # alerted -> background events
     attacks: Counter = Counter()
-    # Cumulative (second, generated, captured) attack counts.  An attack
-    # event counts toward the first row not yet written whose second is at
-    # or after its time; one older than the rows written so far counts
-    # toward the next row, and the last row holds every attack.
+    # Cumulative (second, generated, captured) attack counts: an attack
+    # event counts toward the first row whose second is at or after its time.
     capture_series: list[tuple[float, int, int]] = []
     second = 1
     cum_gen = cum_cap = 0
 
+    last, skipped = 0.0, 0  # the last analyzed time, the events skipped
     index = -1  # stays -1 on an empty trace
     for index, event in enumerate(events):
+        if not last <= event.time <= duration:  # NaN included
+            skipped += 1
+            continue
+        last = event.time
         view = make_view(event, index, nodes)
         alert = pipeline.process_view(view)
         hit = alert is not None
@@ -324,12 +333,12 @@ def run_detection(
             background[hit] += 1
         else:
             attacks[cls, db.matches_any(view.pattern), hit] += 1
-            while second < event.time and second < last_second:
+            while second < last:
                 capture_series.append((float(second), cum_gen, cum_cap))
                 second += 1
             cum_gen += 1
             cum_cap += hit
-    analyzed = index + 1
+    analyzed = index + 1 - skipped
     capture_series.extend((float(s), cum_gen, cum_cap) for s in range(second, last_second + 1))
 
     counters = ConfusionCounters(fp=background[True], tn=background[False])
@@ -339,7 +348,7 @@ def run_detection(
     return DetectionResult(
         alerts=alerts,
         counters=counters,
-        received=analyzed + malformed,
+        received=index + 1 + malformed,
         analyzed=analyzed,
         attacks=attacks,
         alerts_by_layer=dict(sorted((layer.value, n) for layer, n in by_layer.items())),

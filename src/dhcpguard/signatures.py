@@ -26,7 +26,6 @@ parameterized checks over a sliding time window:
 
 from __future__ import annotations
 
-import heapq
 import importlib.resources
 import re
 from collections import Counter, deque
@@ -266,17 +265,14 @@ PATTERN_REPLICATION = Violation(Ingredient.PATTERN_REPLICATION, AlertClass.PATTE
 class SlidingWindow:
     """Recent-traffic state feeding the parameterized checks.
 
-    Holds events in arrival order; each :meth:`add` drops the oldest
-    arrival while it lies at or before ``now - window`` (``window`` from
-    the policy in force), so an out-of-order time can outstay the window.
-    Per-source and identical-payload counts are maintained
-    incrementally.  ``nodes`` supplies positions for the radio-range
-    check and may be ``None``; it must not change afterwards, because
-    range verdicts are cached per ``(src, dst)`` pair of known nodes.
-
-    Pending REQUESTs sit in a dict keyed by xid and in a heap of
-    ``(deadline, seq, xid)``; a heap entry whose xid was answered,
-    retried or re-requested since is stale and skipped when it comes due.
+    Times arrive in order (``run_detection`` skips any other), so each
+    :meth:`add` drops events from the front while they lie at or before
+    ``now - window``, and the pending REQUESTs due are the front of their
+    queue; a queue entry whose xid was answered, retried or re-requested
+    since is stale and skipped.  Per-source and identical-payload counts
+    are maintained incrementally.  ``nodes`` supplies positions for the
+    radio-range check and may be ``None``; it must not change afterwards,
+    because range verdicts are cached per ``(src, dst)`` pair of known nodes.
     """
 
     def __init__(self, nodes: Optional[dict[int, NodeSpec]] = None):
@@ -285,13 +281,12 @@ class SlidingWindow:
         self._src_counts: Counter = Counter()
         self._pattern_counts: Counter = Counter()
         self._last_seen: dict[int, float] = {}
-        self._expected: dict[int, tuple[int, int]] = {}  # xid -> (seq, event index)
-        self._deadlines: list[tuple[float, int, int]] = []  # heap of (deadline, seq, xid)
-        self._seq = 0
+        self._expected: dict[int, int] = {}  # xid -> event index
+        self._requests: deque[tuple[float, int, int]] = deque()  # (time, xid, event index)
         self._range_verdicts: dict[tuple[int, int], Optional[Violation]] = {}
 
     def add(self, time: float, src: int, pattern: bytes, window: float) -> tuple[int, int, int]:
-        """Drop the oldest arrival while it lies at or before ``time - window``, then add this one.
+        """Drop events while they lie at or before ``time - window``, then add this one.
 
         Returns the events in the window, those from ``src`` and the
         copies of ``pattern``, this event included.
@@ -317,36 +312,24 @@ class SlidingWindow:
         self._last_seen[src] = now
         return last
 
-    def pop_expired_expectations(self, now: float) -> list[int]:
-        """Event indices of the pending REQUESTs whose deadline is before ``now``.
-
-        They are listed in the order the REQUESTs were noted, whatever
-        their deadlines, since the timeout may change between requests.
-        """
-        heap = self._deadlines
-        # The loop below makes the same test; returning early skips the
-        # list and the sort on the many calls with nothing due.
-        if not heap or heap[0][0] >= now:
-            return []
-        expected = self._expected
-        due: list[tuple[int, int]] = []
-        while heap and heap[0][0] < now:
-            _, seq, xid = heapq.heappop(heap)
-            pending = expected.get(xid)
-            if pending is not None and pending[0] == seq:
+    def pop_expired_expectations(self, now: float, timeout: float) -> list[int]:
+        """Indices of the REQUESTs pending more than ``timeout`` at ``now``, in request order."""
+        requests, expected = self._requests, self._expected
+        due: list[int] = []
+        while requests and requests[0][0] + timeout < now:
+            _, xid, index = requests.popleft()
+            if expected.get(xid) == index:
                 del expected[xid]
-                due.append(pending)
-        due.sort()
-        return [index for _, index in due]
+                due.append(index)
+        return due
 
-    def note_request(self, xid: int, now: float, timeout: float, index: int) -> bool:
+    def note_request(self, xid: int, now: float, index: int) -> bool:
         """Track a REQUEST; returns True when it satisfied a pending retry."""
         if xid in self._expected:
             del self._expected[xid]
             return True
-        self._seq += 1
-        self._expected[xid] = (self._seq, index)
-        heapq.heappush(self._deadlines, (now + timeout, self._seq, xid))
+        self._expected[xid] = index
+        self._requests.append((now, xid, index))
         return False
 
     def note_answer(self, xid: int) -> None:
@@ -377,7 +360,7 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
     event = view.event
     now = event.time
     src = event.src
-    expired = w.pop_expired_expectations(now)
+    expired = w.pop_expired_expectations(now, cfg.retransmit_timeout)
     last = w.note_seen(src, now)
     total, count, repeats = w.add(now, src, view.pattern, cfg.window)
 
@@ -417,7 +400,7 @@ def eval_ingredients(cfg: IngredientConfig, w: SlidingWindow, view: EventView) -
     msg = view.message
     if msg is not None:
         if msg.msg_type is MsgType.REQUEST:
-            w.note_request(msg.xid, now, cfg.retransmit_timeout, view.index)
+            w.note_request(msg.xid, now, view.index)
         elif msg.msg_type in (MsgType.ACK, MsgType.NAK):
             w.note_answer(msg.xid)
 

@@ -18,14 +18,18 @@ Digital Technical Journal 10(1), 1998):
   trailing window recomputed from a list of past events;
 - the route split is ``any(sig.pattern in payload for sig in db)``.
 
+Events are analyzed in time order: one whose time is before the last
+analyzed event's (or 0), past ``duration`` or NaN is skipped and counted
+as received but not analyzed.  So the analyzed times are non-decreasing
+and within the span, and a window that drops its oldest events while
+they lie at or before the cutoff is a filter on time, which is how this
+module states it.  A pending REQUEST expires once more than the
+retransmit timeout in force has passed since it was noted.
+
 It also derives the capture series, the counters and every ``RunReport``
 figure.  Row ``s`` of the capture series counts the attacks at or before
-second ``s``, and the last row counts every attack, whatever its time.
-A window drops its oldest events while they lie at or before
-the cutoff; with non-decreasing times, as every simulated trace has,
-that is a filter on time, which is how this module states it.  Only data
-types, enums, configs, ``Policy``, registry entries, ``SignatureDb``
-iteration and ``Alert`` come from the package.
+second ``s``.  Only data types, enums, configs, ``Policy``, registry
+entries, ``SignatureDb`` iteration and ``Alert`` come from the package.
 """
 
 import hashlib
@@ -100,17 +104,17 @@ class PendingRequests:
     """Unanswered REQUESTs in one dict, in the order they were noted."""
 
     def __init__(self):
-        self.pending = {}  # xid -> (deadline, event index)
+        self.pending = {}  # xid -> (time noted, event index)
 
-    def pop_expired_expectations(self, now):
-        expired = [xid for xid, (deadline, _) in self.pending.items() if deadline < now]
+    def pop_expired_expectations(self, now, timeout):
+        expired = [xid for xid, (noted, _) in self.pending.items() if noted + timeout < now]
         return [self.pending.pop(xid)[1] for xid in expired]
 
-    def note_request(self, xid, now, timeout, index):
+    def note_request(self, xid, now, index):
         if xid in self.pending:  # a retry satisfies the expectation
             del self.pending[xid]
             return True
-        self.pending[xid] = (now + timeout, index)
+        self.pending[xid] = (now, index)
         return False
 
     def note_answer(self, xid):
@@ -137,7 +141,7 @@ class Ingredients:
 
     def evaluate(self, cfg, event, index):
         now, src, payload = event.time, event.src, payload_bytes(event)
-        expired = self.requests.pop_expired_expectations(now)
+        expired = self.requests.pop_expired_expectations(now, cfg.retransmit_timeout)
         last = self.last_seen.get(src)
         self.last_seen[src] = now
         self.recent = [seen for seen in self.recent if seen[0] > now - cfg.window]
@@ -166,7 +170,7 @@ class Ingredients:
 
         msg = event.payload.message if dhcp else None
         if msg is not None and msg.msg_type is MsgType.REQUEST:
-            self.requests.note_request(msg.xid, now, cfg.retransmit_timeout, index)
+            self.requests.note_request(msg.xid, now, index)
         elif msg is not None and msg.msg_type in (MsgType.ACK, MsgType.NAK):
             self.requests.note_answer(msg.xid)
         return found
@@ -310,9 +314,13 @@ def detect(events, policy, nodes=None, *, duration, malformed=0, block=False, sw
     alerts, blocked, layer_calls, attacks = [], [], Counter(), Counter()
     background = Counter()
     attack_times = []  # (time, alerted) of every attack event
+    last, analyzed = 0.0, 0  # the last analyzed time, the events analyzed
 
     for index, event in enumerate(events):
         policy = switches.get(index, policy)
+        if not last <= event.time <= duration:  # out of order, past the span or NaN
+            continue
+        last, analyzed = event.time, analyzed + 1
         found = ingredients.evaluate(policy.ingredients, event, index)
         alert, consulted = judge(policy, event, index, nodes, found, anomaly)
         layer_calls.update(consulted)
@@ -329,18 +337,16 @@ def detect(events, policy, nodes=None, *, duration, malformed=0, block=False, sw
             attack_times.append((event.time, hit))
 
     tp = sum(hit for _, hit in attack_times)
-    last = math.ceil(duration)
     capture_series = [
-        (float(s), sum(t <= s or s == last for t, _ in attack_times),
-         sum(h for t, h in attack_times if t <= s or s == last))
-        for s in range(1, last + 1)
+        (float(s), sum(t <= s for t, _ in attack_times), sum(h for t, h in attack_times if t <= s))
+        for s in range(1, math.ceil(duration) + 1)
     ]
     windows = anomaly.outcomes
     result = DetectionResult(
         alerts=alerts,
         counters=ConfusionCounters(tp, background[True], background[False], len(attack_times) - tp),
         received=len(events) + malformed,
-        analyzed=len(events),
+        analyzed=analyzed,
         attacks=attacks,
         alerts_by_layer=dict(sorted(Counter(a.layer.value for a in alerts).items())),
         blocked=blocked,

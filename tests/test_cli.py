@@ -276,10 +276,11 @@ def _rewrite_lines(path, edits):
 
 @pytest.mark.parametrize("time", [-1.0, -1e300, 1e300, 60.5])
 def test_detect_counts_times_outside_the_trace_span_as_malformed(tmp_path, capsys, time):
+    """An event before the last analyzed one or past the duration is skipped, not analyzed."""
     trace, reg = _simulate(tmp_path, clients=4)  # duration 60
-    _rewrite_lines(trace, {3: lambda event: dict(event, time=time),
-                           4: lambda event: dict(event, time=0.0),
-                           5: lambda event: dict(event, time=60.0)})
+    _rewrite_lines(trace, {1: lambda event: dict(event, time=0.0),
+                           3: lambda event: dict(event, time=time),
+                           -1: lambda event: dict(event, time=60.0)})
     capsys.readouterr()
     with deadline(20):
         rc = run_cli("detect", "--trace", str(trace), "--registry", str(reg),
@@ -288,7 +289,8 @@ def test_detect_counts_times_outside_the_trace_span_as_malformed(tmp_path, capsy
     assert rc in (EXIT_OK, EXIT_HIGH_ALERT)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    assert "skipped 1 malformed lines" in captured.out  # the ends 0 and 60 are kept
+    # the ends 0 and 60 are kept
+    assert "skipped 0 malformed lines, 1 events out of time order or past duration" in captured.out
     report = json.loads((tmp_path / "c.json").read_text())["report"]
     assert report["received"] == report["analyzed"] + 1
 

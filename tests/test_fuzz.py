@@ -9,6 +9,10 @@ in, or nested deeply.
 Whatever the bytes, the run ends with a documented exit code, prints no
 traceback, exits 1 only for a high-severity alert, and finishes in bounded
 time.
+
+The trace is also fuzzed with its lines kept valid: one to three events
+get a time behind the event before them or past the header's duration,
+and ``detect`` must skip exactly the events its time rule names.
 """
 
 import json
@@ -208,3 +212,55 @@ def test_mutated_input_ends_cleanly(tmp_path, capsys, originals, target, case):
     assert rc in (0, 1, 2, 3), context
     assert "Traceback" not in captured.out + captured.err, context
     assert (rc == EXIT_HIGH_ALERT) == ("high-severity alerts present" in captured.err), context
+
+
+def move_times(rng, data):
+    """A trace with one to three event times moved backward or past the duration, and the moves."""
+    lines = data.decode().splitlines()
+    duration = json.loads(lines[0])["duration"]
+    names = []
+    for _ in range(rng.randint(1, 3)):
+        index = rng.randrange(1, len(lines))
+        event = json.loads(lines[index])
+        how = rng.choice(("backward", "past"))
+        if how == "backward":
+            before = json.loads(lines[index - 1])["time"] if index > 1 else 0.0
+            event["time"] = before - rng.choice((1e-6, 0.5, 1e6))
+        else:
+            event["time"] = duration + rng.choice((1e-6, 1.0, 1e6, 1e300))
+        lines[index] = json.dumps(event)
+        names.append(f"{how} at line {index}")
+    return " + ".join(names), "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_trace_with_moved_times_skips_them_cleanly(tmp_path, capsys, originals, case):
+    rng = random.Random(f"times:{case}")
+    how, text = move_times(rng, originals["trace"])
+    trace, registry, counters = tmp_path / "t.jsonl", tmp_path / "r.json", tmp_path / "c.json"
+    trace.write_text(text)
+    registry.write_bytes(originals["registry"])
+
+    with deadline(10):
+        rc = main(["detect", "--trace", str(trace), "--registry", str(registry), "--warmup", "3",
+                   "--alerts", str(tmp_path / "a.jsonl"), "--counters", str(counters)])
+    captured = capsys.readouterr()
+    context = f"{how}: exit {rc}, stderr {captured.err[-300:]!r}"
+    assert rc in (0, 1), context
+    assert "Traceback" not in captured.out + captured.err, context
+
+    # An event is skipped when its time is behind the last analyzed one or past the duration.
+    lines = text.splitlines()
+    duration = json.loads(lines[0])["duration"]
+    last, skipped = 0.0, 0
+    for line in lines[1:]:
+        time = json.loads(line)["time"]
+        if last <= time <= duration:
+            last = time
+        else:
+            skipped += 1
+    assert skipped > 0, context
+    report = json.loads(counters.read_text())["report"]
+    assert report["received"] == len(lines) - 1 == report["analyzed"] + skipped, context
+    assert (f"skipped 0 malformed lines, {skipped} events out of time order or past duration"
+            in captured.out), context

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -146,6 +147,26 @@ def test_registry_rejects_duplicate_server_ids():
               "gateway": format_ipv4(GATEWAY), "dns": format_ipv4(GATEWAY)}
     with pytest.raises(ValueError):
         DhcpRegistry.from_records([record, record])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mac", "0x1:+2: 3:1_0:4:5"),
+    ("mac", "100:0:0:0:0:0"),
+    ("mac", "2:0:0:0:0:1"),
+    ("mac", "02-00-00-00-00-01"),
+    ("mac", "02:00:00:00:00:01:07"),
+    ("mac", 2),
+    ("server_id", "10.0.0.256"),
+    ("gateway", "10.0.0"),
+    ("dns", " 10.0.0.1"),
+    ("dns", None),
+])
+def test_registry_record_errors_name_the_field(field, value):
+    record = {"server_id": format_ipv4(LEGIT), "mac": "02:00:00:00:00:01",
+              "gateway": format_ipv4(GATEWAY), "dns": format_ipv4(GATEWAY)}
+    assert len(DhcpRegistry.from_records([dict(record, mac="0A:fF:00:00:00:01")])) == 1
+    with pytest.raises(ValueError, match=f"^server record 0: {field} must be .*, got "):
+        DhcpRegistry.from_records([dict(record, **{field: value})])
 
 
 def test_registry_text_round_trips_through_ints():
@@ -458,22 +479,35 @@ def test_mid_trace_policy_updates_match_the_reference():
 
 
 def test_expired_requests_keep_request_order_across_a_timeout_change():
+    """A pending REQUEST expires under the timeout in force, not the one it was noted under."""
     mac = MacAddr.from_int(0x020000000004)
 
     def request(xid, time, index):
         msg = DhcpMessage(MsgType.REQUEST, xid, mac, your_ip=parse_ipv4("10.0.1.1"), server_id=LEGIT)
         return pipe.process_event(_event(payload_from_message(msg), time=time), index)
 
+    def later(time, index):
+        return pipe.process_event(
+            _event(GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"later"), time=time), index)
+
+    def timeout(version, seconds):
+        pipe.update_policy(Policy(version, _registry(), empty,
+                                  IngredientConfig(retransmit_timeout=seconds)))
+
     empty = SignatureDb([])
     pipe = EventPipeline(Policy(1, _registry(), empty, IngredientConfig(retransmit_timeout=5.0)))
     assert request(0x1, 0.0, 0) is None
-    pipe.update_policy(Policy(2, _registry(), empty, IngredientConfig(retransmit_timeout=0.5)))
-    assert request(0x2, 1.0, 1) is None
-    late = _event(GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"later"), time=10.0)
-    alert = pipe.process_event(late, 2)
-    # both expired; the first REQUEST leads although the second one's deadline came first
+    assert request(0x2, 0.2, 1) is None
+    timeout(2, 0.5)
+    # Both are more than 0.5 s old at 3.0, so both expire, in request order.
+    alert = later(3.0, 2)
     assert alert.unique_sign == "SG-ING-retransmission"
     assert alert.evidence == (2, 0)
+    # A REQUEST noted under 0.5 s waits out a timeout raised to 5.0 s.
+    assert request(0x3, 3.0, 3) is None
+    timeout(3, 5.0)
+    assert later(8.0, 4) is None
+    assert later(8.5, 5).evidence == (5, 3)
 
 
 def test_stale_policy_version_rejected():
@@ -702,11 +736,12 @@ def test_capture_series_with_out_of_order_attack_times():
     events = [_event(payload, time, truth=truth) for time, payload, truth in spec]
     result = run_detection(iter(events), Pipeline(_policy(signatures=SignatureDb([]))),
                            duration=6.0)
-    assert [alert.evidence for alert in result.alerts] == [(0,), (2,), (5,), (7,), (9,)]
-    # An event counts toward the first unwritten row at or after its time, so
-    # 1.2 lands in second 3 (behind 2.7) and 0.2 in second 4 (behind 4.0).
+    # An event earlier than the last analyzed one is skipped, and the
+    # analyzed events keep their indices.
+    assert (result.received, result.analyzed, result.tga) == (10, 5, 5)
+    assert [alert.evidence for alert in result.alerts] == [(0,), (7,)]
     assert result.capture_series == [
-        (1.0, 1, 1), (2.0, 1, 1), (3.0, 3, 2), (4.0, 6, 3), (5.0, 7, 4), (6.0, 9, 5)]
+        (1.0, 1, 1), (2.0, 1, 1), (3.0, 2, 1), (4.0, 3, 1), (5.0, 4, 2), (6.0, 5, 2)]
 
 
 def test_capture_series_last_row_holds_every_attack():
@@ -716,8 +751,9 @@ def test_capture_series_last_row_holds_every_attack():
     spec = [(0.5, rogue, AttackClass.ROGUE_DHCP), (5.0, quiet, AttackClass.DOS)]
     events = [_event(payload, time, truth=truth) for time, payload, truth in spec]
     result = run_detection(events, Pipeline(policy), duration=2.0)
-    assert (result.tga, result.counters.tp) == (2, 1)
-    assert result.capture_series == [(1.0, 1, 1), (2.0, 2, 1)]
+    # 5.0 is past the duration, so it is skipped.
+    assert (result.received, result.analyzed, result.tga, result.counters.tp) == (2, 1, 1, 1)
+    assert result.capture_series == [(1.0, 1, 1), (2.0, 1, 1)]
 
     # Times out of order and past the duration, many seeded draws.
     rng = random.Random(23)
@@ -733,10 +769,27 @@ def test_capture_series_last_row_holds_every_attack():
             assert g0 <= g1 and c0 <= c1
         if series:
             assert series[-1][1:] == (result.tga, result.counters.tp)
-        # In time order the reference states the same rule.
-        in_order = sorted(events, key=lambda event: event.time)
-        expected = reference.detect(in_order, policy, duration=duration).result
-        assert run_detection(in_order, Pipeline(policy), duration=duration) == expected
+        assert result == reference.detect(events, policy, duration=duration).result
+
+
+def test_an_event_behind_the_last_one_is_skipped_not_kept_in_the_window():
+    quiet = GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"nothing")
+    policy = dataclasses.replace(_policy(), ingredients=IngredientConfig(flood_threshold=2))
+    events = [_event(quiet, time) for time in (10.0, 5.0, 10.5)]
+    result = run_detection(events, Pipeline(policy), duration=11.0)
+    # Only 10.0 and 10.5 lie in the 1 s window at 10.5, so two events flood nothing.
+    assert (result.received, result.analyzed, result.alerts) == (3, 2, [])
+
+
+def test_an_event_past_the_duration_closes_no_window():
+    quiet = GenericPayload(Proto.TCP, frozenset({"ack"}), 100, b"nothing")
+    events = [_event(quiet, time, src=src) for time, src in ((0.1, 1), (0.2, 2), (0.3, 1))]
+    late = _event(quiet, 1e6, src=3)
+    start = time.perf_counter()
+    result = run_detection(events + [late], Pipeline(_policy()), duration=1.0)
+    assert time.perf_counter() - start < 0.1
+    assert (result.received, result.analyzed) == (4, 3)
+    assert result.st_series == run_detection(events, Pipeline(_policy()), duration=1.0).st_series
 
 
 def test_run_detection_bounds_the_windows_and_the_duration():

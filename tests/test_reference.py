@@ -210,13 +210,23 @@ def _grid_dhcp(rng):
 
 
 def grid_trace(rng, dhcp_share):
-    """Events at multiples of 1/8 s, in time order, so window cutoffs land exactly on events."""
+    """Events at multiples of 1/8 s, so window cutoffs land exactly on events, and their span.
+
+    The clock mostly moves forward.  A few steps go back, even below 0,
+    and a few events lie far past the span, so detect's skip rule is
+    checked too.
+    """
     patterns = [b"alpha", b"alpha beta", b"beta gamma", b"xxx", rng.randbytes(4)]
     ids = list(range(6)) + [9]  # 9 is no node of the topology
     sources = rng.sample(ids, rng.randint(2, len(ids)))
-    events, now = [], 0.0
+    events, now, span = [], 0.0, 0.0
     for _ in range(rng.randint(150, 400)):
-        now += rng.choice([0.0, 0.125, 0.125, 0.25, 0.5, 1.0, rng.choice([0.0, 4.0])])
+        roll = rng.random()
+        if roll < 0.02:  # a backward step
+            now -= rng.choice([0.125, 1.0, 5.0])
+        else:
+            now += rng.choice([0.0, 0.125, 0.125, 0.25, 0.5, 1.0, rng.choice([0.0, 4.0])])
+        span = max(span, now)
         if rng.random() < dhcp_share:
             payload = _grid_dhcp(rng)
         else:
@@ -225,8 +235,9 @@ def grid_trace(rng, dhcp_share):
                                      rng.choice([60, 100, 1500, 9000]), pattern)
         truth = rng.choice([AttackClass.NONE] * 3 + ATTACKS)
         dst = rng.choice(ids + [BROADCAST])
-        events.append(SimEvent(now, rng.choice(sources), dst, payload, truth))
-    return events
+        time = now + 1e6 if roll > 0.99 else now  # past the span
+        events.append(SimEvent(time, rng.choice(sources), dst, payload, truth))
+    return events, span
 
 
 @pytest.mark.parametrize("seed", range(36))
@@ -235,14 +246,14 @@ def test_grid_traces_match_the_reference(seed):
     # One case in three is mostly DHCP, and only its retransmission check is
     # strict, so that retried and re-asked REQUESTs show in the alerts.
     requests = seed % 3 == 1
-    events = grid_trace(rng, 0.8 if requests else rng.choice([0.2, 0.5]))
+    events, span = grid_trace(rng, 0.8 if requests else rng.choice([0.2, 0.5]))
     policy = random_policy(rng, events, REGISTRY)
     if requests:
         policy = dataclasses.replace(policy, ingredients=IngredientConfig(
             max_rate=1e3, max_gap=1e3, flood_threshold=10**4, replication_limit=10**4,
             retransmit_timeout=rng.choice([2.0, 4.0, 8.0])))
     switches = random_switches(rng, events, policy) if seed % 2 else {}
-    assert_same(events, policy, _grid_nodes(rng), events[-1].time + rng.choice([0.0, 0.5]),
+    assert_same(events, policy, _grid_nodes(rng), span + rng.choice([0.0, 0.5]),
                 switches=switches, block=seed % 3 == 0)
 
 

@@ -377,23 +377,25 @@ def test_retried_request_satisfies_the_expectation():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_deadline_heap_matches_the_dict_scan(seed):
+    """The pending-REQUEST queue expires what a whole-dict scan does, in time order."""
     rng = random.Random(seed)
-    heap, ref = SlidingWindow(), reference.PendingRequests()
+    queue, ref = SlidingWindow(), reference.PendingRequests()
     now, timeout = 0.0, 2.0
     for index in range(400):
         # zero and whole-second steps make deadlines tie and land exactly on `now`
         now += rng.choice([0.0, 0.0, 0.25, 1.0, 2.0, rng.uniform(0.0, 3.0)])
-        if rng.random() < 0.1:  # the policy's timeout changes between requests
+        if rng.random() < 0.1:  # the policy's timeout changes, for pending requests too
             timeout = rng.choice([0.5, 1.0, 2.0, 5.0])
-        assert heap.pop_expired_expectations(now) == ref.pop_expired_expectations(now)
+        assert (queue.pop_expired_expectations(now, timeout)
+                == ref.pop_expired_expectations(now, timeout))
         xid = rng.randrange(8)  # few xids, so retries and re-requests collide
         if rng.random() < 0.6:  # a REQUEST, first try or retry
-            assert (heap.note_request(xid, now, timeout, index)
-                    == ref.note_request(xid, now, timeout, index))
+            assert queue.note_request(xid, now, index) == ref.note_request(xid, now, index)
         else:  # an ACK or NAK
-            heap.note_answer(xid)
+            queue.note_answer(xid)
             ref.note_answer(xid)
-    assert heap.pop_expired_expectations(now + 10.0) == ref.pop_expired_expectations(now + 10.0)
+    assert (queue.pop_expired_expectations(now + 10.0, timeout)
+            == ref.pop_expired_expectations(now + 10.0, timeout))
 
 
 def test_range_verdicts_match_geometry_and_are_cached_per_pair():
