@@ -23,9 +23,10 @@ This layout is a deliberate fixed-size reduction of the real protocol:
 wide enough to carry every field the detector inspects, small enough
 that tampering stays byte-exact and cheap to test.
 
-An IPv4 address is a plain ``int`` in [0, 2**32) everywhere in the
-package; dotted text exists only in files, through :func:`parse_ipv4`
-and :func:`format_ipv4`.
+An IPv4 address is a plain ``int`` in [0, 2**32) and a MAC address six
+plain ``bytes`` everywhere in the package; their text exists only in
+files, through :func:`parse_ipv4`/:func:`format_ipv4` and
+:func:`parse_mac`/:func:`format_mac`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from typing import Callable, Optional
 
 # An IPv4 address: an int in [0, MAX_IPV4].
 Ipv4Addr = int
+# A MAC address: six bytes.
+MacAddr = bytes
 
 UNASSIGNED = 0
 MAX_IPV4 = (1 << 32) - 1
@@ -62,6 +65,19 @@ def parse_ipv4(text: str) -> Ipv4Addr:
 def format_ipv4(ip: Ipv4Addr) -> str:
     """Inverse of :func:`parse_ipv4`."""
     return str(ipaddress.IPv4Address(ip))
+
+
+def parse_mac(text: str) -> MacAddr:
+    """Six ':'-separated hex pairs to an address; :class:`ValueError` if it is not one."""
+    parts = text.split(":")
+    if len(parts) != 6 or not all(len(p) == 2 and _HEX_DIGITS.issuperset(p) for p in parts):
+        raise ValueError(f"bad MAC {text!r}")
+    return bytes.fromhex("".join(parts))
+
+
+def format_mac(mac: MacAddr) -> str:
+    """Inverse of :func:`parse_mac`, in lower case."""
+    return mac.hex(":")
 
 
 class MsgType(IntEnum):
@@ -106,38 +122,14 @@ class PoolExhausted(Exception):
     """No free address left in the pool (the starvation symptom)."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MacAddr:
-    """A six-octet hardware address."""
-
-    octets: bytes
-
-    def __post_init__(self):
-        if len(self.octets) != 6:
-            raise ValueError(f"MAC must be 6 octets, got {len(self.octets)}")
-
-    @classmethod
-    def parse(cls, text: str) -> "MacAddr":
-        parts = text.split(":")
-        if len(parts) != 6 or not all(len(p) == 2 and _HEX_DIGITS.issuperset(p) for p in parts):
-            raise ValueError(f"bad MAC {text!r}")
-        return cls(bytes.fromhex("".join(parts)))
-
-    @classmethod
-    def from_int(cls, value: int) -> "MacAddr":
-        return cls(value.to_bytes(6, "big"))
-
-    def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.octets)
-
-
 @dataclass(frozen=True, slots=True)
 class DhcpMessage:
     """One protocol message, the unit the verifier inspects.
 
-    Invariants are enforced at construction: every address and the xid
-    fit 32 bits, the lease fits the 24-bit wire field, OFFER/ACK carry a
-    non-zero server_id and DISCOVER carries your_ip 0.0.0.0.
+    Invariants are enforced at construction: the client MAC is six bytes,
+    every address and the xid fit 32 bits, the lease fits the 24-bit wire
+    field, OFFER/ACK carry a non-zero server_id and DISCOVER carries
+    your_ip 0.0.0.0.
     """
 
     msg_type: MsgType
@@ -150,6 +142,8 @@ class DhcpMessage:
     lease_secs: int = 0
 
     def __post_init__(self):
+        if type(self.client_mac) is not bytes or len(self.client_mac) != 6:
+            raise ValueError(f"client_mac must be 6 bytes, got {self.client_mac!r}")
         if not 0 <= self.xid < (1 << 32):
             raise ValueError(f"xid out of range: {self.xid}")
         if not 0 <= self.lease_secs <= MAX_LEASE_SECS:
@@ -176,7 +170,7 @@ def checksum16(data: bytes) -> int:
 
 def encode_message(msg: DhcpMessage) -> bytes:
     """Serialize to the fixed 32-byte wire image."""
-    body = _HEAD.pack(msg.msg_type, msg.xid, msg.client_mac.octets, msg.your_ip,
+    body = _HEAD.pack(msg.msg_type, msg.xid, msg.client_mac, msg.your_ip,
                       msg.server_id, msg.gateway, msg.dns) + msg.lease_secs.to_bytes(3, "big")
     return body + checksum16(body).to_bytes(2, "big")
 
@@ -197,7 +191,7 @@ def decode_message(data: bytes) -> DhcpMessage:
         return DhcpMessage(
             msg_type=msg_type,
             xid=xid,
-            client_mac=MacAddr(mac),
+            client_mac=mac,
             your_ip=your_ip,
             server_id=server_id,
             gateway=gateway,
@@ -388,13 +382,18 @@ class ClientState(IntEnum):
 
 
 class DhcpClient:
-    """Naive client half of DORA: the first matching OFFER wins the race."""
+    """Naive client half of DORA: the first matching OFFER wins the race.
+
+    As RFC 2131 section 4.4.1 has it, the REQUEST names the server whose
+    OFFER won, and only that server's ACK binds the client.
+    """
 
     def __init__(self, mac: MacAddr, xid_source: Callable[[], int]):
         self.mac = mac
         self._next_xid = xid_source
         self.state = ClientState.INIT
         self.xid = 0
+        self.server_id = UNASSIGNED
         self.binding: Optional[Binding] = None
 
     def discover(self) -> DhcpMessage:
@@ -408,6 +407,7 @@ class DhcpClient:
             return None
         if self.state is ClientState.SELECTING and msg.msg_type is MsgType.OFFER:
             self.state = ClientState.REQUESTING
+            self.server_id = msg.server_id
             return DhcpMessage(
                 MsgType.REQUEST,
                 self.xid,
@@ -416,7 +416,8 @@ class DhcpClient:
                 server_id=msg.server_id,
                 lease_secs=msg.lease_secs,
             )
-        if self.state is ClientState.REQUESTING and msg.msg_type is MsgType.ACK:
+        if (self.state is ClientState.REQUESTING and msg.msg_type is MsgType.ACK
+                and msg.server_id == self.server_id):
             self.state = ClientState.BOUND
             self.binding = Binding(
                 ip=msg.your_ip,

@@ -55,6 +55,7 @@ from .dhcp import (
     decode_message,
     encode_message,
     format_ipv4,
+    format_mac,
     parse_ipv4,
 )
 from .trace import (
@@ -185,11 +186,11 @@ class Trace:
 
 def node_mac(node_id: int) -> MacAddr:
     """Locally-administered MAC derived from the node id."""
-    return MacAddr.from_int((0x02 << NODE_ID_BITS) | node_id)
+    return ((0x02 << NODE_ID_BITS) | node_id).to_bytes(6, "big")
 
 
 def spoofed_mac(i: int) -> MacAddr:
-    return MacAddr.from_int((0x0A << 40) | (i + 1))
+    return ((0x0A << 40) | (i + 1)).to_bytes(6, "big")
 
 
 def default_topology(kind: ScenarioKind, clients: int = 5) -> list[NodeSpec]:
@@ -884,7 +885,7 @@ def legit_server_records(topology: Iterable[NodeSpec]) -> list[dict]:
     return [
         {
             "server_id": format_ipv4(LEGIT_SERVER_IP),
-            "mac": str(node_mac(node.id)),
+            "mac": format_mac(node_mac(node.id)),
             "gateway": format_ipv4(ROUTER_IP),
             "dns": format_ipv4(ROUTER_IP),
         }
@@ -898,39 +899,28 @@ def replay_client_bindings(
 ) -> dict[int, Binding]:
     """Re-derive per-client DORA outcomes from a trace.
 
-    Follows the naive client rule (first OFFER for the pending xid wins).
-    Events whose indices appear in ``blocked`` are treated as never
-    delivered, which is how ``--block`` mode prevents rogue bindings.
+    Each MAC's DISCOVERs drive one :class:`DhcpClient`, which follows the
+    simulator's client rule: the first OFFER for the pending xid wins, and
+    only the ACK of the server it named binds.  A binding is credited to
+    the node that sent the MAC's first DISCOVER.  Events whose indices
+    appear in ``blocked`` are treated as never delivered, which is how
+    ``--block`` mode prevents rogue bindings.
     """
-    pending: dict[MacAddr, dict] = {}
-    mac_node: dict[MacAddr, int] = {}
+    clients: dict[MacAddr, tuple[int, DhcpClient]] = {}
     bindings: dict[int, Binding] = {}
     for idx, ev in enumerate(events):
         if not isinstance(ev.payload, DhcpPayload) or ev.payload.message is None:
             continue
         msg = ev.payload.message
         if msg.msg_type is MsgType.DISCOVER:
-            mac_node.setdefault(msg.client_mac, ev.src)
-            pending[msg.client_mac] = {"xid": msg.xid, "offer": None}
-        elif idx in blocked:
-            continue
-        elif msg.msg_type is MsgType.OFFER:
-            state = pending.get(msg.client_mac)
-            if state is not None and state["xid"] == msg.xid and state["offer"] is None:
-                state["offer"] = msg
-        elif msg.msg_type is MsgType.ACK:
-            state = pending.get(msg.client_mac)
-            if (
-                state is not None
-                and state["xid"] == msg.xid
-                and state["offer"] is not None
-                and state["offer"].server_id == msg.server_id
-            ):
-                bindings[mac_node[msg.client_mac]] = Binding(
-                    ip=msg.your_ip,
-                    server_id=msg.server_id,
-                    gateway=msg.gateway,
-                    dns=msg.dns,
-                    lease_secs=msg.lease_secs,
-                )
+            if msg.client_mac not in clients:
+                # discover() draws each xid from the DISCOVER being replayed
+                clients[msg.client_mac] = (ev.src, DhcpClient(msg.client_mac, lambda: msg.xid))
+            clients[msg.client_mac][1].discover()
+        elif idx not in blocked and msg.client_mac in clients:
+            node, client = clients[msg.client_mac]
+            before = client.binding
+            client.step(msg)
+            if client.binding is not None and client.binding is not before:
+                bindings[node] = client.binding
     return bindings

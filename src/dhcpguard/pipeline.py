@@ -30,7 +30,7 @@ from .anomaly import (
     check_window_count,
     classify,
 )
-from .dhcp import DhcpMessage, Ipv4Addr, MacAddr, MsgType, format_ipv4, parse_ipv4
+from .dhcp import DhcpMessage, Ipv4Addr, MsgType, format_ipv4, parse_ipv4, parse_mac
 from .signatures import (
     EventView,
     Ingredient,
@@ -88,7 +88,7 @@ class DhcpRegistry:
                     raise ValueError(f"expected an object, got {rec!r}")
                 server_id, gateway, dns = (_field(rec, key, parse_ipv4, "a dotted IPv4 address")
                                            for key in ("server_id", "gateway", "dns"))
-                _field(rec, "mac", MacAddr.parse, "six ':'-separated hex pairs")  # not stored
+                _field(rec, "mac", parse_mac, "six ':'-separated hex pairs")  # not stored
                 entries.append((server_id, fingerprint(server_id, gateway, dns)))
             except ValueError as exc:
                 raise ValueError(f"server record {i}: {exc}") from None

@@ -16,7 +16,6 @@ from dhcpguard.cli import main as cli_main
 from dhcpguard.dhcp import (
     AddressPool,
     DhcpMessage,
-    MacAddr,
     MsgType,
     PoolExhausted,
     decode_message,
@@ -167,7 +166,7 @@ def _random_trace(rng):
         roll = rng.random()
         if roll < 0.25:
             msg = DhcpMessage(MsgType.OFFER, rng.getrandbits(32),
-                              MacAddr.from_int(rng.randrange(1, 50)),
+                              rng.randrange(1, 50).to_bytes(6, "big"),
                               your_ip=rng.getrandbits(32),
                               server_id=legit if rng.random() < 0.5
                               else rng.randrange(1, 2**32),
@@ -177,7 +176,7 @@ def _random_trace(rng):
             payload = payload_from_message(msg)
         elif roll < 0.4:
             msg = DhcpMessage(MsgType.DISCOVER, rng.getrandbits(32),
-                              MacAddr.from_int(rng.randrange(1, 50)))
+                              rng.randrange(1, 50).to_bytes(6, "big"))
             payload = payload_from_message(msg)
         else:
             pattern = rng.choice([b"plain chatter", b"dl freepics.exe now",
@@ -233,7 +232,7 @@ def test_criterion_8b_pool_injectivity_under_random_ops():
     with criterion(8, "(b) pool stays injective and in-range under random operations"):
         rng = random.Random(777)
         pool = AddressPool(parse_ipv4("10.0.1.1"), parse_ipv4("10.0.1.12"), 25)
-        macs = [MacAddr.from_int(i) for i in range(20)]
+        macs = [i.to_bytes(6, "big") for i in range(20)]
         now = 0.0
         for _ in range(600):
             now += rng.random() * 4

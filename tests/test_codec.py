@@ -15,7 +15,7 @@ import pytest
 
 from dhcpguard import netsim
 from dhcpguard.alerts import Alert, AlertClass, Layer, Severity
-from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, parse_ipv4
+from dhcpguard.dhcp import DhcpMessage, MsgType, parse_ipv4
 from dhcpguard.netsim import (
     BROADCAST,
     AttackClass,
@@ -79,7 +79,7 @@ def test_rewriting_a_read_trace_gives_its_bytes(tmp_path, simulated, kind):
 
 
 def _offer():
-    return DhcpMessage(MsgType.OFFER, 0x1234ABCD, MacAddr.from_int(0x02AB00000001),
+    return DhcpMessage(MsgType.OFFER, 0x1234ABCD, bytes.fromhex("02ab00000001"),
                        parse_ipv4("10.0.0.50"), parse_ipv4("10.0.0.2"),
                        parse_ipv4("10.0.0.1"), parse_ipv4("10.0.0.3"), 3600)
 

@@ -8,12 +8,12 @@ from dhcpguard.dhcp import (
     BadChecksum,
     BadLength,
     BODY_SIZE,
+    ClientState,
     DhcpClient,
     DhcpMessage,
     DhcpServer,
     InvalidField,
     MAX_IPV4,
-    MacAddr,
     MsgType,
     PoolExhausted,
     UNASSIGNED,
@@ -23,7 +23,9 @@ from dhcpguard.dhcp import (
     decode_message,
     encode_message,
     format_ipv4,
+    format_mac,
     parse_ipv4,
+    parse_mac,
 )
 
 
@@ -37,7 +39,7 @@ def random_message(rng):
     return DhcpMessage(
         msg_type=msg_type,
         xid=rng.getrandbits(32),
-        client_mac=MacAddr(bytes(rng.randrange(256) for _ in range(6))),
+        client_mac=bytes(rng.randrange(256) for _ in range(6)),
         your_ip=your_ip,
         server_id=server_id,
         gateway=rng.getrandbits(32),
@@ -58,14 +60,14 @@ def address_extreme_messages():
                 continue
             if msg_type in (MsgType.OFFER, MsgType.ACK) and not fields["server_id"]:
                 continue
-            yield DhcpMessage(msg_type, 0x01020304, MacAddr(b"\x02" * 6), lease_secs=60, **fields)
+            yield DhcpMessage(msg_type, 0x01020304, b"\x02" * 6, lease_secs=60, **fields)
 
 
 # -- codec ----------------------------------------------------------------
 
 
 def test_zero_discover_layout():
-    msg = DhcpMessage(MsgType.DISCOVER, 0, MacAddr(b"\x00" * 6))
+    msg = DhcpMessage(MsgType.DISCOVER, 0, b"\x00" * 6)
     data = encode_message(msg)
     assert len(data) == WIRE_SIZE == 32
     assert data[0] == 1
@@ -79,7 +81,7 @@ def test_offer_round_trip():
     msg = DhcpMessage(
         MsgType.OFFER,
         xid=0xDEADBEEF,
-        client_mac=MacAddr.parse("02:00:00:00:00:04"),
+        client_mac=parse_mac("02:00:00:00:00:04"),
         your_ip=parse_ipv4("10.0.1.7"),
         server_id=parse_ipv4("10.0.0.2"),
         gateway=parse_ipv4("10.0.0.1"),
@@ -98,7 +100,7 @@ def test_round_trip_corpus():
 
 def test_decode_returns_int_addresses():
     msg = decode_message(encode_message(DhcpMessage(
-        MsgType.ACK, 7, MacAddr(b"\x02" * 6), your_ip=parse_ipv4("10.0.1.7"),
+        MsgType.ACK, 7, b"\x02" * 6, your_ip=parse_ipv4("10.0.1.7"),
         server_id=parse_ipv4("10.0.0.2"), gateway=parse_ipv4("10.0.0.1"),
         dns=parse_ipv4("255.255.255.255"))))
     for name in ADDRESS_FIELDS:
@@ -108,7 +110,7 @@ def test_decode_returns_int_addresses():
 
 
 def test_address_fields_sit_big_endian_at_their_wire_offsets():
-    msg = DhcpMessage(MsgType.OFFER, 1, MacAddr(b"\x02" * 6), your_ip=0x01020304,
+    msg = DhcpMessage(MsgType.OFFER, 1, b"\x02" * 6, your_ip=0x01020304,
                       server_id=0x05060708, gateway=0x090A0B0C, dns=0x0D0E0F10)
     assert encode_message(msg)[11:27] == bytes(range(1, 17))
 
@@ -173,7 +175,7 @@ def test_checksum16_matches_reference_loop():
 
 
 def test_flipped_byte_in_valid_offer_is_bad_checksum():
-    msg = DhcpMessage(MsgType.OFFER, 1, MacAddr(b"\x02" * 6), server_id=parse_ipv4("10.0.0.2"))
+    msg = DhcpMessage(MsgType.OFFER, 1, b"\x02" * 6, server_id=parse_ipv4("10.0.0.2"))
     data = bytearray(encode_message(msg))
     data[12] ^= 0x40
     with pytest.raises(BadChecksum):
@@ -184,16 +186,39 @@ def test_flipped_byte_in_valid_offer_is_bad_checksum():
 
 
 def test_mac_parse_and_format():
-    mac = MacAddr.parse("aa:bb:cc:dd:ee:ff")
-    assert str(mac) == "aa:bb:cc:dd:ee:ff"
-    with pytest.raises(ValueError):
-        MacAddr.parse("aa:bb:cc")
-    with pytest.raises(ValueError):
-        MacAddr(b"\x01\x02")
+    mac = parse_mac("aa:bb:cc:dd:ee:ff")
+    assert mac == bytes.fromhex("aabbccddeeff")
+    assert format_mac(mac) == "aa:bb:cc:dd:ee:ff"
+    assert parse_mac("0A:fF:00:Bc:00:01") == bytes.fromhex("0aff00bc0001")
+
+
+def test_mac_text_round_trips():
+    rng = random.Random(25)
+    for _ in range(200):
+        mac = rng.randbytes(6)
+        assert parse_mac(format_mac(mac)) == mac
+
+
+@pytest.mark.parametrize("text", [
+    "aa:bb:cc", "0x1:+2: 3:1_0:4:5", "aa:bb:cc:dd:ee:ff:00", "aa-bb-cc-dd-ee-ff",
+    "aabbccddeeff", "", "aa:bb:cc:dd:ee:fg", "a:bb:cc:dd:ee:fff", "100:0:0:0:0:0",
+    " aa:bb:cc:dd:ee:ff", "aa:bb:cc:dd:ee:ff\n", "aa:bb:cc:dd:ee: f",
+    "aa:bb:cc:dd:ee:\u0661\u0662",  # non-ASCII digits
+])
+def test_mac_parse_refuses_what_is_not_six_hex_pairs(text):
+    with pytest.raises(ValueError, match="bad MAC"):
+        parse_mac(text)
+
+
+@pytest.mark.parametrize("mac", [b"\x02" * 5, b"\x02" * 7, b"", bytearray(b"\x02" * 6),
+                                 "02:00:00:00:00:01"])
+def test_message_refuses_a_client_mac_that_is_not_six_bytes(mac):
+    with pytest.raises(ValueError, match="client_mac must be 6 bytes"):
+        DhcpMessage(MsgType.DISCOVER, 1, mac)
 
 
 def test_message_invariants():
-    mac = MacAddr(b"\x02" * 6)
+    mac = b"\x02" * 6
     with pytest.raises(ValueError):
         DhcpMessage(MsgType.OFFER, 1, mac)  # zero server_id
     with pytest.raises(ValueError):
@@ -208,7 +233,7 @@ def test_message_invariants():
 @pytest.mark.parametrize("value", [-1, 2**32])
 def test_message_rejects_addresses_beyond_32_bits(field, value):
     with pytest.raises(ValueError, match=field):
-        DhcpMessage(MsgType.REQUEST, 1, MacAddr(b"\x02" * 6), **{field: value})
+        DhcpMessage(MsgType.REQUEST, 1, b"\x02" * 6, **{field: value})
 
 
 @pytest.mark.parametrize("text", ["10.0.0.2", "10.0.0.1", "0.0.0.0", "255.255.255.255"])
@@ -234,13 +259,13 @@ def _pool(size=10, lease=100):
 
 def test_pool_lowest_free_first():
     pool = _pool()
-    assert pool.allocate(MacAddr.from_int(1), now=0.0) == parse_ipv4("10.0.1.1")
-    assert pool.allocate(MacAddr.from_int(2), now=0.0) == parse_ipv4("10.0.1.2")
+    assert pool.allocate((1).to_bytes(6, "big"), now=0.0) == parse_ipv4("10.0.1.1")
+    assert pool.allocate((2).to_bytes(6, "big"), now=0.0) == parse_ipv4("10.0.1.2")
 
 
 def test_pool_lease_stability():
     pool = _pool()
-    mac = MacAddr.from_int(7)
+    mac = (7).to_bytes(6, "big")
     first = pool.allocate(mac, now=0.0)
     assert pool.allocate(mac, now=1.0) == first
 
@@ -249,32 +274,32 @@ def test_pool_exhaustion_after_exactly_size_allocations():
     pool = _pool(size=10)
     # brute-force count: exactly 10 distinct macs succeed
     for i in range(10):
-        pool.allocate(MacAddr.from_int(i), now=0.0)
+        pool.allocate(i.to_bytes(6, "big"), now=0.0)
     with pytest.raises(PoolExhausted):
-        pool.allocate(MacAddr.from_int(10), now=0.0)
+        pool.allocate((10).to_bytes(6, "big"), now=0.0)
 
 
 def test_pool_release_and_reuse():
     pool = _pool(size=2)
-    a, b = MacAddr.from_int(1), MacAddr.from_int(2)
+    a, b = (1).to_bytes(6, "big"), (2).to_bytes(6, "big")
     ip_a = pool.allocate(a, now=0.0)
     pool.allocate(b, now=0.0)
     pool.release(a)
-    assert pool.allocate(MacAddr.from_int(3), now=0.0) == ip_a
+    assert pool.allocate((3).to_bytes(6, "big"), now=0.0) == ip_a
 
 
 def test_pool_expiry_reclaims():
     pool = _pool(size=1, lease=10)
-    pool.allocate(MacAddr.from_int(1), now=0.0)
+    pool.allocate((1).to_bytes(6, "big"), now=0.0)
     with pytest.raises(PoolExhausted):
-        pool.allocate(MacAddr.from_int(2), now=5.0)
-    assert pool.allocate(MacAddr.from_int(2), now=11.0) == parse_ipv4("10.0.1.1")
+        pool.allocate((2).to_bytes(6, "big"), now=5.0)
+    assert pool.allocate((2).to_bytes(6, "big"), now=11.0) == parse_ipv4("10.0.1.1")
 
 
 def test_pool_injectivity_under_random_operations():
     rng = random.Random(4242)
     pool = _pool(size=8, lease=20)
-    macs = [MacAddr.from_int(i) for i in range(14)]
+    macs = [i.to_bytes(6, "big") for i in range(14)]
     now = 0.0
     for _ in range(400):
         now += rng.random() * 3
@@ -343,7 +368,7 @@ def test_pool_agrees_with_scan_oracle(size, lease):
     start = parse_ipv4("10.0.1.1")
     end = start + size - 1
     pool, oracle = AddressPool(start, end, lease), _ScanPool(start, end, lease)
-    macs = [MacAddr.from_int(i) for i in range(size + 6)]
+    macs = [i.to_bytes(6, "big") for i in range(size + 6)]
     now = 0.0
     for step in range(600):
         # steps of 0 make leases expire exactly at a call's ``now``
@@ -369,10 +394,10 @@ def test_pool_agrees_with_scan_oracle(size, lease):
 
 def test_pool_rejects_time_going_backwards():
     pool = _pool()
-    pool.allocate(MacAddr.from_int(1), now=5.0)
+    pool.allocate((1).to_bytes(6, "big"), now=5.0)
     assert pool.free_count(5.0) == 9  # the same ``now`` again is fine
     with pytest.raises(ValueError):
-        pool.allocate(MacAddr.from_int(2), now=4.0)
+        pool.allocate((2).to_bytes(6, "big"), now=4.0)
     with pytest.raises(ValueError):
         pool.free_count(4.999)
     with pytest.raises(ValueError):
@@ -381,7 +406,7 @@ def test_pool_rejects_time_going_backwards():
 
 def test_pool_over_a_slash_8_is_built_lazily():
     pool = AddressPool(parse_ipv4("10.0.0.0"), parse_ipv4("10.255.255.255"))
-    got = [pool.allocate(MacAddr.from_int(i), now=0.0) for i in range(3)]
+    got = [pool.allocate(i.to_bytes(6, "big"), now=0.0) for i in range(3)]
     assert got == [parse_ipv4("10.0.0.0"), parse_ipv4("10.0.0.1"), parse_ipv4("10.0.0.2")]
     assert pool.free_count(0.0) == 2**24 - 3
     assert pool.size == 2**24
@@ -396,7 +421,7 @@ def test_pool_rejects_ranges_beyond_32_bits_or_reversed(start, end):
 def test_pool_may_span_the_whole_address_space():
     pool = AddressPool(0, MAX_IPV4)
     assert pool.size == 2**32
-    assert pool.allocate(MacAddr.from_int(1), now=0.0) == 0
+    assert pool.allocate((1).to_bytes(6, "big"), now=0.0) == 0
 
 
 # -- server / client state machines -----------------------------------------
@@ -414,7 +439,7 @@ def _server(size=10, lease=100):
 
 def test_server_offers_lowest_free():
     server = _server()
-    offer = server.step(DhcpMessage(MsgType.DISCOVER, 1, MacAddr.from_int(5)), now=0.0)
+    offer = server.step(DhcpMessage(MsgType.DISCOVER, 1, (5).to_bytes(6, "big")), now=0.0)
     assert offer.msg_type is MsgType.OFFER
     assert offer.your_ip == parse_ipv4("10.0.1.1")
     assert offer.server_id == parse_ipv4("10.0.0.2")
@@ -422,7 +447,7 @@ def test_server_offers_lowest_free():
 
 def test_server_two_step_replay_acks_same_address():
     server = _server()
-    mac = MacAddr.from_int(5)
+    mac = (5).to_bytes(6, "big")
     offer = server.step(DhcpMessage(MsgType.DISCOVER, 9, mac), now=0.0)
     request = DhcpMessage(MsgType.REQUEST, 9, mac, your_ip=offer.your_ip,
                           server_id=offer.server_id)
@@ -434,13 +459,13 @@ def test_server_two_step_replay_acks_same_address():
 def test_server_silent_when_exhausted():
     server = _server(size=2)
     for i in range(2):
-        assert server.step(DhcpMessage(MsgType.DISCOVER, i, MacAddr.from_int(i)), 0.0)
-    assert server.step(DhcpMessage(MsgType.DISCOVER, 99, MacAddr.from_int(99)), 0.0) is None
+        assert server.step(DhcpMessage(MsgType.DISCOVER, i, i.to_bytes(6, "big")), 0.0)
+    assert server.step(DhcpMessage(MsgType.DISCOVER, 99, (99).to_bytes(6, "big")), 0.0) is None
 
 
 def test_server_naks_unoffered_address():
     server = _server()
-    mac = MacAddr.from_int(5)
+    mac = (5).to_bytes(6, "big")
     server.step(DhcpMessage(MsgType.DISCOVER, 1, mac), now=0.0)
     bogus = DhcpMessage(MsgType.REQUEST, 1, mac, your_ip=parse_ipv4("10.0.9.9"),
                         server_id=parse_ipv4("10.0.0.2"))
@@ -449,28 +474,28 @@ def test_server_naks_unoffered_address():
 
 def test_server_ignores_request_for_other_server_and_frees_lease():
     server = _server(size=1)
-    mac = MacAddr.from_int(5)
+    mac = (5).to_bytes(6, "big")
     server.step(DhcpMessage(MsgType.DISCOVER, 1, mac), now=0.0)
     foreign = DhcpMessage(MsgType.REQUEST, 1, mac, your_ip=parse_ipv4("10.0.66.100"),
                           server_id=parse_ipv4("10.0.66.1"))
     assert server.step(foreign, now=0.1) is None
     # the tentative lease is gone, so a different client can take it
-    offer = server.step(DhcpMessage(MsgType.DISCOVER, 2, MacAddr.from_int(6)), now=0.2)
+    offer = server.step(DhcpMessage(MsgType.DISCOVER, 2, (6).to_bytes(6, "big")), now=0.2)
     assert offer.your_ip == parse_ipv4("10.0.1.1")
 
 
 def test_server_release_frees_lease():
     server = _server(size=1)
-    mac = MacAddr.from_int(5)
+    mac = (5).to_bytes(6, "big")
     server.step(DhcpMessage(MsgType.DISCOVER, 1, mac), now=0.0)
     server.step(DhcpMessage(MsgType.RELEASE, 2, mac), now=0.5)
-    assert server.step(DhcpMessage(MsgType.DISCOVER, 3, MacAddr.from_int(6)), 1.0) is not None
+    assert server.step(DhcpMessage(MsgType.DISCOVER, 3, (6).to_bytes(6, "big")), 1.0) is not None
 
 
 def test_server_forgets_each_offer_once_it_is_answered():
     server = _server()
     for cycle in range(30):
-        mac = MacAddr.from_int(cycle % 5)
+        mac = (cycle % 5).to_bytes(6, "big")
         offer = server.step(DhcpMessage(MsgType.DISCOVER, cycle, mac), now=float(cycle))
         asked = offer.your_ip if cycle % 3 else parse_ipv4("10.0.9.9")
         reply = server.step(DhcpMessage(MsgType.REQUEST, cycle, mac, your_ip=asked,
@@ -483,7 +508,7 @@ def test_dora_liveness():
     # one client + one server with a free pool completes all four messages
     server = _server()
     xids = iter(range(100, 200))
-    client = DhcpClient(MacAddr.from_int(42), lambda: next(xids))
+    client = DhcpClient((42).to_bytes(6, "big"), lambda: next(xids))
     wire = [client.discover()]
     hops = 0
     while wire and hops < 10:
@@ -496,3 +521,21 @@ def test_dora_liveness():
     assert client.binding.ip in server.pool
     assert client.binding.gateway == parse_ipv4("10.0.0.1")
     assert hops == 4  # exactly DISCOVER, OFFER, REQUEST, ACK
+
+
+def test_client_binds_only_to_the_ack_of_the_server_it_requested():
+    xids = iter(range(100, 200))
+    client = DhcpClient((42).to_bytes(6, "big"), lambda: next(xids))
+    discover = client.discover()
+    legit, rogue = parse_ipv4("10.0.0.2"), parse_ipv4("10.0.66.1")
+    request = client.step(DhcpMessage(MsgType.OFFER, discover.xid, client.mac,
+                                      your_ip=parse_ipv4("10.0.1.9"), server_id=legit))
+    assert request.msg_type is MsgType.REQUEST and request.server_id == legit
+    foreign = DhcpMessage(MsgType.ACK, discover.xid, client.mac,
+                          your_ip=parse_ipv4("10.0.66.100"), server_id=rogue)
+    assert client.step(foreign) is None
+    assert client.binding is None and client.state is ClientState.REQUESTING
+    client.step(DhcpMessage(MsgType.ACK, discover.xid, client.mac,
+                            your_ip=parse_ipv4("10.0.1.9"), server_id=legit))
+    assert client.state is ClientState.BOUND
+    assert (client.binding.ip, client.binding.server_id) == (parse_ipv4("10.0.1.9"), legit)

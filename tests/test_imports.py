@@ -50,7 +50,7 @@ def test_every_public_name_resolves_to_its_module_s_own_object():
         for name in names:
             value = getattr(dhcpguard, name)
             assert value is vars(module)[name] is vars(dhcpguard)[name]
-            # defined in that module, not imported into it (Ipv4Addr is int)
+            # defined in that module, not imported into it (Ipv4Addr is int, MacAddr bytes)
             if getattr(value, "__module__", "builtins") != "builtins":
                 assert value.__module__ == module.__name__, name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

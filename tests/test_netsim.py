@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dhcpguard.dhcp import MsgType, format_ipv4
+from dhcpguard.dhcp import DhcpMessage, MsgType, format_ipv4, format_mac
 from dhcpguard.netsim import (
     ATTACKER_IP,
     BROADCAST,
@@ -11,12 +11,14 @@ from dhcpguard.netsim import (
     DhcpPayload,
     GenericPayload,
     InvalidScenario,
+    LEGIT_POOL_START,
     LEGIT_SERVER_IP,
     NodeSpec,
     ROGUE_SERVER_IP,
     Role,
     Scenario,
     ScenarioKind,
+    SimEvent,
     class_counts,
     default_scenario,
     default_topology,
@@ -30,6 +32,7 @@ from dhcpguard.netsim import (
     save_topology,
     write_trace,
 )
+from helpers import payload_from_message
 from test_memory import HEADER, _dhcp, _generic
 
 
@@ -113,6 +116,37 @@ def test_rogue_disabled_clients_bind_legit_server():
     assert len(bindings) == 8
     assert all(b.server_id == LEGIT_SERVER_IP for b in bindings.values())
     assert class_counts(trace.events)[AttackClass.ROGUE_DHCP] == 0
+
+
+def _exchange(*steps):
+    """Events of one client's exchange: (src, type, server_id) per message, xid 7."""
+    mac = node_mac(4)
+    events = []
+    for i, (src, msg_type, server_id) in enumerate(steps):
+        your_ip = 0 if msg_type in (MsgType.DISCOVER, MsgType.NAK) else LEGIT_POOL_START + i
+        msg = DhcpMessage(msg_type, 7, mac, your_ip=your_ip, server_id=server_id,
+                          gateway=server_id, dns=server_id)
+        events.append(SimEvent(0.1 * i, src, BROADCAST, payload_from_message(msg)))
+    return events
+
+
+def test_replay_binds_through_the_offer_left_after_a_block():
+    events = _exchange((4, MsgType.DISCOVER, 0), (2, MsgType.OFFER, ROGUE_SERVER_IP),
+                       (1, MsgType.OFFER, LEGIT_SERVER_IP), (4, MsgType.REQUEST, LEGIT_SERVER_IP),
+                       (2, MsgType.ACK, ROGUE_SERVER_IP), (1, MsgType.ACK, LEGIT_SERVER_IP))
+    # Unblocked, the rogue's OFFER comes first and its ACK binds.
+    assert replay_client_bindings(events)[4].server_id == ROGUE_SERVER_IP
+    # Blocked, the legit OFFER wins; the rogue's ACK names a server the
+    # client did not request, so only the legit ACK binds.
+    binding = replay_client_bindings(events, blocked=frozenset({1}))[4]
+    assert (binding.server_id, binding.ip) == (LEGIT_SERVER_IP, LEGIT_POOL_START + 5)
+
+
+def test_replay_nak_ends_the_exchange():
+    events = _exchange((4, MsgType.DISCOVER, 0), (1, MsgType.OFFER, LEGIT_SERVER_IP),
+                       (1, MsgType.NAK, LEGIT_SERVER_IP), (1, MsgType.ACK, LEGIT_SERVER_IP))
+    assert replay_client_bindings(events) == {}
+    assert 4 in replay_client_bindings(events[:2] + events[3:])
 
 
 # -- starvation ----------------------------------------------------------------
@@ -428,7 +462,7 @@ def test_legit_server_records_shape():
     rec = records[0]
     assert rec["server_id"] == format_ipv4(LEGIT_SERVER_IP)
     legit = next(n for n in topo if n.role is Role.LEGIT_DHCP)
-    assert rec["mac"] == str(node_mac(legit.id))
+    assert rec["mac"] == format_mac(node_mac(legit.id))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -18,7 +18,6 @@ from dhcpguard.anomaly import (
 from dhcpguard.dhcp import (
     BODY_SIZE,
     DhcpMessage,
-    MacAddr,
     MsgType,
     checksum16,
     encode_message,
@@ -93,7 +92,7 @@ def _policy(version=1, registry=None, signatures=None):
 
 
 def _offer(server_id=LEGIT, gateway=GATEWAY, dns=GATEWAY, xid=1):
-    return DhcpMessage(MsgType.OFFER, xid, MacAddr.from_int(0x020000000004),
+    return DhcpMessage(MsgType.OFFER, xid, bytes.fromhex("020000000004"),
                        your_ip=parse_ipv4("10.0.1.1"), server_id=server_id,
                        gateway=gateway, dns=dns, lease_secs=300)
 
@@ -167,6 +166,15 @@ def test_registry_record_errors_name_the_field(field, value):
     assert len(DhcpRegistry.from_records([dict(record, mac="0A:fF:00:00:00:01")])) == 1
     with pytest.raises(ValueError, match=f"^server record 0: {field} must be .*, got "):
         DhcpRegistry.from_records([dict(record, **{field: value})])
+
+
+def test_registry_mac_error_reads_as_before():
+    record = {"server_id": format_ipv4(LEGIT), "mac": "aa:bb:cc",
+              "gateway": format_ipv4(GATEWAY), "dns": format_ipv4(GATEWAY)}
+    with pytest.raises(ValueError) as info:
+        DhcpRegistry.from_records([record])
+    assert str(info.value) == ("server record 0: mac must be six ':'-separated hex pairs, "
+                               "got 'aa:bb:cc'")
 
 
 def test_registry_text_round_trips_through_ints():
@@ -279,7 +287,7 @@ def test_verifier_caught_ack_still_answers_its_request():
     # the rogue ACK alerts at the verifier, but it must still count as the
     # answer to the pending REQUEST: no retransmission violation later
     pipe = EventPipeline(_policy())
-    mac = MacAddr.from_int(0x020000000004)
+    mac = bytes.fromhex("020000000004")
     request = DhcpMessage(MsgType.REQUEST, 0x77, mac, your_ip=parse_ipv4("10.0.66.100"),
                           server_id=ROGUE)
     rogue_ack = DhcpMessage(MsgType.ACK, 0x77, mac, your_ip=parse_ipv4("10.0.66.100"),
@@ -316,7 +324,7 @@ _TWO_WINDOW_EVENTS = [
     _generic(9.5, 3, 1000, b"edge"),  # exactly anomaly.window before the last event
     _generic(9.6, 4, 100, b"recent"),
     _generic(9.7, 5, 1000, b"EVIL payload"),
-    _event(payload_from_message(DhcpMessage(MsgType.DISCOVER, 9, MacAddr.from_int(6))),
+    _event(payload_from_message(DhcpMessage(MsgType.DISCOVER, 9, (6).to_bytes(6, "big"))),
            time=9.8, src=6, dst=BROADCAST),
     _generic(10.0, 7, 300, b"last"),
 ]
@@ -364,7 +372,7 @@ def test_flooding_counts_every_event_in_the_ingredient_window():
 
 def _reframed_request(reason):
     """The wire image of a REQUEST, broken so that it fails to decode for ``reason``."""
-    raw = encode_message(DhcpMessage(MsgType.REQUEST, 0x55, MacAddr.from_int(9),
+    raw = encode_message(DhcpMessage(MsgType.REQUEST, 0x55, (9).to_bytes(6, "big"),
                                      your_ip=parse_ipv4("10.0.1.1"), server_id=LEGIT))
     body = bytearray(raw[:BODY_SIZE])
     if reason == "bad_length":
@@ -480,7 +488,7 @@ def test_mid_trace_policy_updates_match_the_reference():
 
 def test_expired_requests_keep_request_order_across_a_timeout_change():
     """A pending REQUEST expires under the timeout in force, not the one it was noted under."""
-    mac = MacAddr.from_int(0x020000000004)
+    mac = bytes.fromhex("020000000004")
 
     def request(xid, time, index):
         msg = DhcpMessage(MsgType.REQUEST, xid, mac, your_ip=parse_ipv4("10.0.1.1"), server_id=LEGIT)

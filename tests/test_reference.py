@@ -16,7 +16,7 @@ import pytest
 
 from dhcpguard.alerts import AlertClass, Severity
 from dhcpguard.anomaly import AnomalyConfig
-from dhcpguard.dhcp import BODY_SIZE, DhcpMessage, MacAddr, MsgType, encode_message, parse_ipv4
+from dhcpguard.dhcp import BODY_SIZE, DhcpMessage, MsgType, encode_message, parse_ipv4
 from dhcpguard.metrics import build_report
 from dhcpguard.netsim import (
     BROADCAST,
@@ -201,7 +201,7 @@ def _grid_dhcp(rng):
         "your_ip": parse_ipv4("10.0.1.7"), "server_id": server,
         "gateway": GATEWAY if server == LEGIT and rng.random() < 0.8 else ROGUE, "dns": GATEWAY}
     # few xids, so requests are retried, answered and asked again
-    raw = encode_message(DhcpMessage(msg_type, rng.randrange(4), MacAddr.from_int(7), **fields))
+    raw = encode_message(DhcpMessage(msg_type, rng.randrange(4), (7).to_bytes(6, "big"), **fields))
     if rng.random() < 0.1:  # a frame that fails its checksum, or one of the wrong length
         raw = raw[:BODY_SIZE] + bytes([raw[BODY_SIZE] ^ 1]) + raw[BODY_SIZE + 1:]
         if rng.random() < 0.3:

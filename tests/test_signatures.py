@@ -6,7 +6,7 @@ import pytest
 
 from dhcpguard import signatures
 from dhcpguard.alerts import AlertClass
-from dhcpguard.dhcp import DhcpMessage, MacAddr, MsgType, encode_message, parse_ipv4
+from dhcpguard.dhcp import DhcpMessage, MsgType, encode_message, parse_ipv4
 from dhcpguard.netsim import (
     BROADCAST,
     AttackClass,
@@ -332,7 +332,7 @@ def test_radio_range_violation_uses_geometry():
 def test_validity_flags_tampered_dhcp():
     cfg = _cfg()
     w = SlidingWindow()
-    msg = DhcpMessage(MsgType.DISCOVER, 1, MacAddr.from_int(1))
+    msg = DhcpMessage(MsgType.DISCOVER, 1, (1).to_bytes(6, "big"))
     violations = eval_ingredients(cfg, w, dview(0, 0.0, msg, corrupt=True))
     assert _classes(violations) == [AlertClass.TAMPER]
     assert violations[0].ingredient is Ingredient.VALIDITY
@@ -341,12 +341,12 @@ def test_validity_flags_tampered_dhcp():
 
 
 def _request(xid, mac_int=9):
-    return DhcpMessage(MsgType.REQUEST, xid, MacAddr.from_int(mac_int),
+    return DhcpMessage(MsgType.REQUEST, xid, mac_int.to_bytes(6, "big"),
                        your_ip=parse_ipv4("10.0.1.1"), server_id=parse_ipv4("10.0.0.2"))
 
 
 def _ack(xid, mac_int=9):
-    return DhcpMessage(MsgType.ACK, xid, MacAddr.from_int(mac_int),
+    return DhcpMessage(MsgType.ACK, xid, mac_int.to_bytes(6, "big"),
                        your_ip=parse_ipv4("10.0.1.1"), server_id=parse_ipv4("10.0.0.2"))
 
 

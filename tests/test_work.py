@@ -1,12 +1,15 @@
-"""Work ratchet: Python calls per event in the read, detect and write stages.
+"""Work ratchet: Python calls per event in the simulate, read, detect and write stages.
 
 A call count, unlike a time, is the same on every run of the same code on
 the same input, so one run shows per-event work that was added or
-removed.  Each stage runs under :mod:`cProfile` on the mixed trace of seed
-1 over 60 s, with the reader's flag-set table and the verifier's
-fingerprint cache emptied first.  Its calls, ``callcount`` summed over
-``Profile.getstats()``, are divided by the events read or detected, or by
-the alerts written.  ``pstats``' ``total_calls`` would undercount them: it
+removed.  Each stage runs under :mod:`cProfile` with the reader's
+flag-set table and the verifier's fingerprint cache emptied first: read,
+detect and write on the mixed trace of seed 1 over 60 s, and simulate and
+read on a DHCP-only trace (rogue-race, seed 1, 600 s, 50 clients, pool
+100, 1,000 events), whose decode and MAC work the mixed trace's few DHCP
+events hide.  A stage's calls, ``callcount`` summed over
+``Profile.getstats()``, are divided by the events simulated, read or
+detected, or by the alerts written.  ``pstats``' ``total_calls`` would undercount them: it
 keeps one entry per label, and every generated dataclass ``__init__``
 shares one.
 
@@ -56,7 +59,7 @@ def _calls(fn, *args, **kwargs):
 
 
 def measure(tmp: Path) -> dict[str, float]:
-    """Calls per event read, per event detected and per alert written."""
+    """Calls per event simulated, per event read or detected and per alert written."""
     path = tmp / "trace.jsonl"
     write_trace(run_scenario(default_scenario(ScenarioKind.MIXED, seed=1, duration=60.0)), path)
     (trace, malformed), read_calls = _calls(read_trace, path)
@@ -68,10 +71,20 @@ def measure(tmp: Path) -> dict[str, float]:
     result, detect_calls = _calls(run_detection, trace.events, pipe, duration=trace.duration)
     _, write_calls = _calls(write_alerts, result.alerts, tmp / "alerts.jsonl")
     events = len(trace.events)
+
+    dhcp_path = tmp / "rogue-race.jsonl"
+    dhcp_scenario = default_scenario(ScenarioKind.ROGUE_RACE, seed=1, duration=600.0,
+                                     clients=50, pool_size=100)
+    simulated, simulate_calls = _calls(run_scenario, dhcp_scenario)
+    write_trace(simulated, dhcp_path)
+    (dhcp_trace, malformed), dhcp_read_calls = _calls(read_trace, dhcp_path)
+    assert not malformed and len(dhcp_trace.events) == len(simulated.events) == 1000
     return {
         "read_trace": round(read_calls / events, 3),
         "run_detection": round(detect_calls / events, 3),
         "write_alerts": round(write_calls / len(result.alerts), 3),
+        "dhcp.run_scenario": round(simulate_calls / len(simulated.events), 3),
+        "dhcp.read_trace": round(dhcp_read_calls / len(dhcp_trace.events), 3),
     }
 
 
