@@ -659,6 +659,9 @@ _flag_sets: dict[frozenset[str], frozenset[str]] = {}
 _flags_text: dict[frozenset[str], str] = {}
 _PROTO_TEXT = {proto: json.dumps(proto.value) for proto in Proto}
 _LABEL_TEXT = {label: json.dumps(label.value) for label in AttackClass}
+# Value -> member tables: a lookup here is no call, unlike ``Proto(value)``.
+_PROTOS = {proto.value: proto for proto in Proto}
+_LABELS = {label.value: label for label in AttackClass}
 
 
 def _flag_set(flags) -> frozenset[str]:
@@ -714,8 +717,8 @@ def event_from_json(data: dict) -> SimEvent:
             raise refused("size_bytes", "an integer in [1, 2^32]", size)
         proto = payload_data["proto"]
         try:
-            proto = Proto(proto)
-        except ValueError:
+            proto = _PROTOS[proto]
+        except (KeyError, TypeError):  # TypeError: an unhashable list or object
             raise refused("proto", _one_of(Proto), proto) from None
         hex_pattern = payload_data["payload_pattern"]
         try:
@@ -737,8 +740,8 @@ def event_from_json(data: dict) -> SimEvent:
         raise refused("dst", f"an integer in [0, 2^{NODE_ID_BITS}) or broadcast", dst)
     label = data["ground_truth"]
     try:
-        label = AttackClass(label)
-    except ValueError:
+        label = _LABELS[label]
+    except (KeyError, TypeError):
         raise refused("ground_truth", _one_of(AttackClass), label) from None
     return SimEvent(time, src, dst, payload, label)
 
@@ -849,14 +852,25 @@ def read_trace(path: Union[str, Path]) -> tuple[Trace, list[tuple[int, str]]]:
     :class:`ValueError` naming the file.
     """
     malformed: list[tuple[int, str]] = []
+    # The C scanner json.loads wraps, without the three Python calls json.loads
+    # makes around it on every line.
+    scan = json.JSONDecoder().scan_once
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         trace = _read_header(fh, path)
         events = trace.events
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             try:
-                event = event_from_json(json.loads(line))
+                try:
+                    data, end = scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = None
+                if end is None or line[end:] != "\n":
+                    # Not one value then the newline: json.loads takes the
+                    # line, so its values and its errors stand.
+                    if not line.strip():
+                        continue
+                    data = json.loads(line)
+                event = event_from_json(data)
             except INPUT_ERRORS as exc:
                 malformed.append((lineno, _input_error(exc)))
             else:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import struct
 
 import pytest
 
@@ -10,6 +11,7 @@ from dhcpguard.dhcp import (
     BODY_SIZE,
     ClientState,
     DhcpClient,
+    DhcpCodecError,
     DhcpMessage,
     DhcpServer,
     InvalidField,
@@ -182,6 +184,89 @@ def test_flipped_byte_in_valid_offer_is_bad_checksum():
         decode_message(bytes(data))
 
 
+_HEAD = struct.Struct(">BI6sIIII")
+
+
+def _reference_decode(data: bytes) -> DhcpMessage:
+    """The decode the one-unpack decoder must agree with: :func:`checksum16`
+    on the body, the type through ``MsgType(b)``, and the 24-bit lease
+    through ``int.from_bytes``."""
+    if len(data) != WIRE_SIZE:
+        raise BadLength(f"expected {WIRE_SIZE} bytes, got {len(data)}")
+    body, stored = data[:BODY_SIZE], int.from_bytes(data[BODY_SIZE:], "big")
+    if checksum16(body) != stored:
+        raise BadChecksum("checksum mismatch")
+    type_byte, xid, mac, your_ip, server_id, gateway, dns = _HEAD.unpack_from(body)
+    try:
+        msg_type = MsgType(type_byte)
+    except ValueError:
+        raise UnknownType(f"unknown message type {type_byte}") from None
+    try:
+        return DhcpMessage(msg_type, xid, mac, your_ip, server_id, gateway, dns,
+                           int.from_bytes(body[_HEAD.size:], "big"))
+    except ValueError as exc:
+        raise InvalidField(str(exc)) from None
+
+
+def _decoded(decode, data):
+    """The message ``decode`` makes of ``data``, or its error's class, reason and text."""
+    try:
+        return decode(data)
+    except DhcpCodecError as exc:
+        return type(exc), exc.reason, str(exc)
+
+
+def _zero_checksum_frame() -> bytes:
+    """A valid DISCOVER whose checksum is 0x0000: the gateway's middle bytes, the
+    word at offset 20, top the body's word sum up to 0xFFFF."""
+    body = encode_message(DhcpMessage(MsgType.DISCOVER, 0x0BADCAFE, b"\x02" * 6))[:BODY_SIZE]
+    frame = encode_message(DhcpMessage(MsgType.DISCOVER, 0x0BADCAFE, b"\x02" * 6,
+                                       gateway=checksum16(body) << 8))
+    assert frame[BODY_SIZE:] == b"\x00\x00"
+    return frame
+
+
+def _decode_cases():
+    rng = random.Random(2713)
+    for length in range(65):
+        for _ in range(40):
+            data = bytes(rng.randrange(256) for _ in range(length))
+            yield data
+            if length == WIRE_SIZE:
+                yield _with_checksum(data[:BODY_SIZE])
+    valid = [encode_message(random_message(rng)) for _ in range(20)]
+    valid += [encode_message(msg) for msg in address_extreme_messages()]
+    zero = _zero_checksum_frame()
+    # Ones-complement 0x0000 and 0xFFFF are both zero, but only the exact
+    # checksum is due: folding all 16 words to 0xFFFF would accept this frame.
+    yield zero[:BODY_SIZE] + b"\xff\xff"
+    valid.append(zero)
+    for frame in valid:
+        yield frame
+        for pos in range(WIRE_SIZE):
+            for mask in (0x01, 0x80, 0xFF, rng.randrange(1, 256)):
+                flipped = bytearray(frame)
+                flipped[pos] ^= mask
+                yield bytes(flipped)
+                yield _with_checksum(bytes(flipped[:BODY_SIZE]))
+
+
+def test_decode_agrees_with_the_reference_decode():
+    outcomes = set()
+    for data in _decode_cases():
+        got = _decoded(decode_message, data)
+        assert got == _decoded(_reference_decode, data), data.hex()
+        outcomes.add(got[0] if type(got) is tuple else DhcpMessage)
+    assert outcomes == {DhcpMessage, BadLength, BadChecksum, UnknownType, InvalidField}
+
+
+def test_encode_appends_the_checksum16_of_the_body():
+    rng = random.Random(3301)
+    for msg in [random_message(rng) for _ in range(500)] + list(address_extreme_messages()):
+        frame = encode_message(msg)
+        assert frame[BODY_SIZE:] == checksum16(frame[:BODY_SIZE]).to_bytes(2, "big")
+
+
 # -- domain types ----------------------------------------------------------
 
 
@@ -234,6 +319,11 @@ def test_message_invariants():
 def test_message_rejects_addresses_beyond_32_bits(field, value):
     with pytest.raises(ValueError, match=field):
         DhcpMessage(MsgType.REQUEST, 1, b"\x02" * 6, **{field: value})
+
+
+def test_message_names_the_first_address_out_of_range():
+    with pytest.raises(ValueError, match=r"^server_id out of range: -1$"):
+        DhcpMessage(MsgType.REQUEST, 1, b"\x02" * 6, server_id=-1, dns=2**32)
 
 
 @pytest.mark.parametrize("text", ["10.0.0.2", "10.0.0.1", "0.0.0.0", "255.255.255.255"])

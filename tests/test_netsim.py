@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
-from dhcpguard.dhcp import DhcpMessage, MsgType, format_ipv4, format_mac
+from dhcpguard.cli import main
+from dhcpguard.dhcp import DhcpMessage, MsgType, encode_message, format_ipv4, format_mac
 from dhcpguard.netsim import (
     ATTACKER_IP,
     BROADCAST,
+    INPUT_ERRORS,
     AttackClass,
     DhcpPayload,
     GenericPayload,
@@ -14,6 +17,7 @@ from dhcpguard.netsim import (
     LEGIT_POOL_START,
     LEGIT_SERVER_IP,
     NodeSpec,
+    Proto,
     ROGUE_SERVER_IP,
     Role,
     Scenario,
@@ -22,6 +26,7 @@ from dhcpguard.netsim import (
     class_counts,
     default_scenario,
     default_topology,
+    event_from_json,
     legit_server_records,
     load_topology,
     node_mac,
@@ -31,8 +36,10 @@ from dhcpguard.netsim import (
     run_scenario,
     save_topology,
     write_trace,
+    _input_error,
 )
 from helpers import payload_from_message
+from test_fuzz import CASES, mutate
 from test_memory import HEADER, _dhcp, _generic
 
 
@@ -403,6 +410,113 @@ def test_event_fields_at_their_bounds_are_read(tmp_path, field, value, expected)
     [event] = trace.events
     read = getattr(event.payload if hasattr(event.payload, field) else event, field)
     assert read == expected and type(read) is type(expected)
+
+
+def _read_by_json_loads(path):
+    """The events and ``(lineno, reason)`` pairs of ``path`` with each line
+    after the header parsed by ``json.loads``: the reader's reference."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = fh.readlines()[1:]
+    events, malformed = [], []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            events.append(event_from_json(json.loads(line)))
+        except INPUT_ERRORS as exc:
+            malformed.append((lineno, _input_error(exc)))
+    return events, malformed
+
+
+def _assert_reads_as_json_loads(path):
+    trace, malformed = read_trace(path)
+    expected = _read_by_json_loads(path)
+    assert (trace.events, malformed) == expected
+    return expected
+
+
+_OFFER = _dhcp(encode_message(DhcpMessage(MsgType.OFFER, 9, b"\x02" * 6, your_ip=5,
+                                          server_id=2)))
+# Lines at the C scanner's edge, "{}" standing for a valid event: lines it
+# does not take whole, and bare values it does.
+_EDGE_LINES = [
+    " {}", "\x0b{}", "\ufeff{}", "{}   ", "{}\t", "{}\r", "{} {}", "{}x", "{},",
+    "[" * 100_000, "null", '"x"', "1e400", "NaN", "", "   ", "\t", "{", '{"time": }',
+    '"\\x"', "1" * 5000, "\xff{}".encode("latin-1").decode("utf-8", "replace"),
+]
+
+
+def test_read_trace_parses_edge_lines_as_json_loads(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    reasons = []
+    for line in _EDGE_LINES:
+        for event in (_generic(), _OFFER):
+            valid = json.dumps(event, separators=(",", ":"))
+            text = f"{json.dumps(HEADER)}\n{valid}\n{line.replace('{}', valid)}\n{valid}\n"
+            path.write_bytes(text.encode())
+            events, malformed = _assert_reads_as_json_loads(path)
+            assert len(events) >= 2, line
+            reasons += [reason for _, reason in malformed]
+    for needle in ("Extra data", "Expecting value", "Unexpected UTF-8 BOM",
+                   "maximum recursion depth", "event must be an object", "Exceeds the limit"):
+        assert any(needle in reason for reason in reasons), needle
+
+
+def test_read_trace_parses_crlf_and_an_unterminated_last_line_as_json_loads(tmp_path):
+    valid = json.dumps(_generic())
+    path = tmp_path / "trace.jsonl"
+    # \r\n reads as \n; the last line has no newline
+    path.write_bytes(f"{json.dumps(HEADER)}\r\n{valid}\r\n\r\n{valid}\n{valid}".encode())
+    events, malformed = _assert_reads_as_json_loads(path)
+    assert len(events) == 3 and malformed == []
+
+
+@pytest.fixture(scope="module")
+def fuzzed_traces(tmp_path_factory):
+    """The mutated traces of ``tests/test_fuzz.py``, each with a valid header."""
+    root = tmp_path_factory.mktemp("fuzz")
+    original = root / "trace.jsonl"
+    assert main(["simulate", "--scenario", "mixed", "--seed", "3", "--duration", "10",
+                 "--rate-dos", "10", "--rate-background", "5",
+                 "--out", str(original), "--registry-out", str(root / "registry.json")]) == 0
+    data = original.read_bytes()
+    header = data.partition(b"\n")[0]
+    return [header + b"\n" + mutate(random.Random(f"trace:{case}"), "jsonl", data)[1]
+            .partition(b"\n")[2] for case in range(CASES)]
+
+
+def test_read_trace_parses_the_fuzz_corpus_as_json_loads(tmp_path, fuzzed_traces):
+    path = tmp_path / "trace.jsonl"
+    read = malformed = 0
+    for data in fuzzed_traces:
+        path.write_bytes(data)
+        events, bad = _assert_reads_as_json_loads(path)
+        read, malformed = read + len(events), malformed + len(bad)
+    assert read > 0 and malformed > 0
+
+
+@pytest.mark.parametrize("field, enum", [("proto", Proto), ("ground_truth", AttackClass)])
+def test_an_enum_field_reads_as_its_enum_call(tmp_path, field, enum):
+    values = [member.value for member in enum] + [
+        "TCP", "", "none ", 0, 1, 1.5, True, None, [], ["tcp"], {}, {"none": 1}]
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(HEADER) + "\n"
+                    + "".join(json.dumps(_generic(**{field: v})) + "\n" for v in values))
+    trace, malformed = read_trace(path)
+    read = iter(trace.events)
+    bad = iter(malformed)
+    for lineno, value in enumerate(values, start=2):
+        try:
+            member = enum(value)
+        except ValueError:
+            got_lineno, reason = next(bad)
+            assert got_lineno == lineno
+            assert reason.startswith(f"{field} must be one of ") and reason.endswith(
+                f", got {value!r}")
+        else:
+            event = next(read)
+            assert getattr(event.payload if field == "proto" else event, field) is member
+    assert next(read, None) is None and next(bad, None) is None
 
 
 def test_topology_file_round_trip(tmp_path):
